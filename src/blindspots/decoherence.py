@@ -8,12 +8,16 @@ the chord function evolves as a product
 
 where R_t = exp(2 J H t) is the classical flow and M_t solves
 
-    dM/dt = 2 (H J M - M J H) + (1/2) sum_j (l' l'^T + l'' l''^T),  M_0 = 0.
+    dM/dt = 2 (H J M - M J H) + (1/2) sum_j (l' l'^T + l'' l''^T),  M_0 = 0,
+
+that is M_t = (1/2) int_0^t R_{-s}^T C R_{-s} ds, which is integrated exactly
+(cos/sin, polynomial or exponential in t).
 
 The correlation C(xi, t) = F[|chi_t|^2] is then the pure-state correlation
 convolved with a normalized Gaussian of covariance -4 hbar J M_t J; both the
 correlation and the evolving Wigner function stay finite sums of complex
-Gaussians, evaluated here in closed form.
+Gaussians, evaluated here in closed form.  On outer grids whose terms do not
+couple p and q, W_t is one rank-K matrix product.
 """
 
 from __future__ import annotations
@@ -120,47 +124,93 @@ class DecoherenceGaussian:
         return np.exp(-quad / self.hbar)
 
 
-def decoherence_matrix(model: LindbladModel, t: float, steps: int = 200,
-                       hbar: float = 1.0) -> DecoherenceGaussian:
-    """M_t by Simpson quadrature of the propagated diffusion form.
+_SERIES_X = 1.0     # |x| = 4 |det A| t^2 below which the flow integrals use their series
+_SERIES_TERMS = 12  # enough for |x| < 1 to round-off
 
-    The quadrature of (1/2) int_0^t exp(-2 alpha s) R_{-s}^T C R_{-s} ds is
-    calibrated so that for H = 0, alpha = 0 the Gaussian factor solves the
-    chord master equation exactly: M_t = (t/2) C.  Panel count is doubled and
-    the two results must agree to 1e-10.
+
+def _flow_integrals(x: float, t: float) -> Tuple[float, float, float]:
+    """(int c^2, int c S, int S^2) over [0, t], where R_{-s} = c(s) I - S(s) A
+    and x = -4 t^2 det A < _SERIES_X.  They are (t/2)(1 + f1), t^2 f2 and
+    2 t^3 f3, where f_n = sum_k x^k / (2k + n)!: a Taylor series for small |x|
+    (t, t^2/2, t^3/3 when det A = 0), otherwise cos/sin of theta = sqrt(-x)."""
+    if abs(x) < _SERIES_X:
+        f1 = f2 = f3 = 0.0
+        term = 1.0  # x^k / (2k)!
+        for k in range(_SERIES_TERMS):
+            term /= 2 * k + 1
+            f1 += term
+            term /= 2 * k + 2
+            f2 += term
+            f3 += term / (2 * k + 3)
+            term *= x
+    else:
+        theta = math.sqrt(-x)
+        f1 = math.sin(theta) / theta
+        f2 = 2.0 * (math.sin(0.5 * theta) / theta) ** 2
+        f3 = (theta - math.sin(theta)) / theta ** 3
+    return 0.5 * t * (1.0 + f1), t * t * f2, 2.0 * t ** 3 * f3
+
+
+def _hyperbolic_m(a: np.ndarray, c: np.ndarray, kappa: float, t: float) -> np.ndarray:
+    """M_t for eigenvalues +-kappa of A: R_{-s} = e^{-kappa s} P+ + e^{kappa s} P-
+    with P+- = (I +- A/kappa)/2, integrated piece by piece.  The cosh/sinh form
+    would cancel two terms of size e^{2 kappa t} whenever the growing piece
+    P-^T C P- vanishes."""
+    p_plus = 0.5 * (np.eye(2) + a / kappa)
+    p_minus = np.eye(2) - p_plus
+    decaying = p_plus.T @ c @ p_plus
+    growing = p_minus.T @ c @ p_minus
+    mixed = p_plus.T @ c @ p_minus
+    m = 0.5 * (-math.expm1(-2.0 * kappa * t) / (2.0 * kappa) * decaying
+               + t * (mixed + mixed.T))
+    if np.any(growing):
+        try:
+            rate = math.expm1(2.0 * kappa * t) / (2.0 * kappa)
+        except OverflowError:
+            raise NumericalError(f"M_t overflows at t = {t}") from None
+        with np.errstate(over="ignore"):
+            m = m + 0.5 * rate * growing
+    return m
+
+
+def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> DecoherenceGaussian:
+    """M_t = (1/2) int_0^t R_{-s}^T C R_{-s} ds in closed form.
+
+    A = 2 J H is traceless, so R_{-s} = exp(-A s) = c(s) I - S(s) A and
+
+        M_t = (1/2) [int c^2 C - int c S (A^T C + C A) + int S^2 A^T C A]
+
+    with scalar integrals in x = -4 t^2 det A (elliptic, parabolic,
+    near-parabolic; see _flow_integrals).  A hyperbolic flow with x >= 1 is split
+    into its spectral projectors instead, so that a coupling along the stable
+    direction gives a bounded M_t at every t.  For H = 0 the Gaussian factor
+    solves the chord master equation exactly: M_t = (t/2) C.  A t at which
+    M_t overflows raises NumericalError.
     """
+    _require_nondissipative(model)
+    if not math.isfinite(t):
+        raise ValidationError("time must be finite")
     if t < 0:
         raise NegativeTime(f"t = {t}")
     if t == 0:
         return DecoherenceGaussian(0.0, np.zeros((2, 2)), hbar)
-    alpha = dissipation_coeff(model)
     c = model.coupling_matrix()
-    h = model.hamiltonian
-
-    def integrand(s: float) -> np.ndarray:
-        r = propagator_matrix(h, -s)
-        return math.exp(-2.0 * alpha * s) * (r.T @ c @ r)
-
-    def simpson(panels: int) -> np.ndarray:
-        dt = t / panels
-        total = np.zeros((2, 2))
-        for k in range(panels):
-            a = k * dt
-            total += integrand(a) + 4.0 * integrand(a + 0.5 * dt) + integrand(a + dt)
-        return 0.5 * total * dt / 6.0
-
-    m1 = simpson(steps)
-    m2 = simpson(2 * steps)
-    scale = max(1.0, float(np.max(np.abs(m2))))
-    if np.max(np.abs(m1 - m2)) > 1e-10 * scale:
-        raise NumericalError(
-            f"decoherence quadrature not converged with {steps} panels at t = {t}")
-    m2 = 0.5 * (m2 + m2.T)
-    return DecoherenceGaussian(float(t), m2, hbar)
+    a = 2.0 * (J @ model.hamiltonian)
+    d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    x = -4.0 * d * t * t
+    if x >= _SERIES_X:
+        m = _hyperbolic_m(a, c, math.sqrt(-d), t)
+    else:
+        i_cc, i_cs, i_ss = _flow_integrals(x, t)
+        ac = a.T @ c
+        m = 0.5 * (i_cc * c - i_cs * (ac + ac.T) + i_ss * (ac @ a))
+    if not np.all(np.isfinite(m)):
+        raise NumericalError(f"M_t overflows at t = {t}")
+    m = 0.5 * (m + m.T)
+    return DecoherenceGaussian(float(t), m, hbar)
 
 
-def evolved_chord(state: Superposition, model: LindbladModel, xi, t: float,
-                  steps: int = 200) -> complex:
+def evolved_chord(state: Superposition, model: LindbladModel, xi, t: float) -> complex:
     """chi_t(xi) = chi_0(R_{-t} xi) exp(-xi . M_t xi / hbar)."""
     _require_nondissipative(model)
     if t < 0:
@@ -169,19 +219,19 @@ def evolved_chord(state: Superposition, model: LindbladModel, xi, t: float,
     xi = as_phase_vector(xi, "xi")
     r_back = propagator_matrix(model.hamiltonian, -t)
     zeta = r_back @ xi
-    gauss = decoherence_matrix(model, t, steps, state.hbar)
+    gauss = decoherence_matrix(model, t, hbar=state.hbar)
     chi_u = complex(chord_values(state, zeta[0], zeta[1]))
     return chi_u * complex(gauss.factor(xi[0], xi[1]))
 
 
 def evolved_chord_gradient(state: Superposition, model: LindbladModel, xi,
-                           t: float, steps: int = 200) -> np.ndarray:
+                           t: float) -> np.ndarray:
     """Analytic (d chi_t/d xi_p, d chi_t/d xi_q) for master-equation residuals."""
     _require_nondissipative(model)
     xi = as_phase_vector(xi, "xi")
     r_back = propagator_matrix(model.hamiltonian, -t)
     zeta = r_back @ xi
-    gauss = decoherence_matrix(model, t, steps, state.hbar)
+    gauss = decoherence_matrix(model, t, hbar=state.hbar)
     g = complex(gauss.factor(xi[0], xi[1]))
     chi_u = complex(chord_values(state, zeta[0], zeta[1]))
     grad_u = r_back.T @ chord_gradient(state, zeta)
@@ -190,30 +240,30 @@ def evolved_chord_gradient(state: Superposition, model: LindbladModel, xi,
 
 
 def _evolved_chord_grid_values(state: Superposition, model: LindbladModel,
-                               window, shape, t: float, steps: int = 200) -> np.ndarray:
+                               window, shape, t: float) -> np.ndarray:
     ap, aq = grid_axes(window, shape)
     r_back = propagator_matrix(model.hamiltonian, -t)
     zp = r_back[0, 0] * ap[:, None] + r_back[0, 1] * aq[None, :]
     zq = r_back[1, 0] * ap[:, None] + r_back[1, 1] * aq[None, :]
     chi_u = chord_values(state, zp, zq)
-    gauss = decoherence_matrix(model, t, steps, state.hbar)
+    gauss = decoherence_matrix(model, t, hbar=state.hbar)
     return chi_u * gauss.factor(ap[:, None], aq[None, :])
 
 
 def evolved_chord_grid(state: Superposition, model: LindbladModel, window, shape,
-                       t: float, steps: int = 200) -> FieldGrid:
+                       t: float) -> FieldGrid:
     _require_nondissipative(model)
     if t < 0:
         raise NegativeTime(f"t = {t}")
     require_normalized(state)
-    vals = _evolved_chord_grid_values(state, model, window, shape, t, steps)
+    vals = _evolved_chord_grid_values(state, model, window, shape, t)
     return FieldGrid(window, shape, vals, "chord")
 
 
 def evolved_correlation(state: Superposition, model: LindbladModel, window, shape,
-                        t: float, steps: int = 200) -> FieldGrid:
+                        t: float) -> FieldGrid:
     """C(xi, t) = F[|chi_t|^2] on the grid; at t = 0 this is the pure correlation."""
-    grid = evolved_chord_grid(state, model, window, shape, t, steps)
+    grid = evolved_chord_grid(state, model, window, shape, t)
     sq = np.abs(grid.values) ** 2
     require_adequate(sq)
     out = fourier_2d(FieldGrid(window, shape, sq, "correlation"), state.hbar)
@@ -241,8 +291,7 @@ def smoothing_covariance(gauss: DecoherenceGaussian) -> np.ndarray:
 
 
 def correlation_evolved_points(state: Superposition, model: LindbladModel,
-                               points: np.ndarray, t: float,
-                               steps: int = 200) -> np.ndarray:
+                               points: np.ndarray, t: float) -> np.ndarray:
     """C(xi, t) at arbitrary chord points, by exact Gaussian convolution.
 
     |chi_u|^2 is its own symplectic Fourier transform (the state stays pure
@@ -261,7 +310,7 @@ def correlation_evolved_points(state: Superposition, model: LindbladModel,
     xp = pts[:, 0]
     xq = pts[:, 1]
 
-    gauss = decoherence_matrix(model, t, steps, state.hbar)
+    gauss = decoherence_matrix(model, t, hbar=state.hbar)
     sigma = smoothing_covariance(gauss)
     chord_terms = _unitary_pair_terms(state, model, t)
     eye = np.eye(2)
@@ -293,24 +342,14 @@ def correlation_evolved_points(state: Superposition, model: LindbladModel,
     return total.real
 
 
-def wigner_evolved_values(state: Superposition, model: LindbladModel,
-                          x_p, x_q, t: float, steps: int = 200) -> np.ndarray:
-    """W_t(x): symplectic Fourier conjugate of chi_t, term-exact.
-
-    Each chord-term Gaussian transforms in closed form, so the grid only
-    samples the result; there is no discrete-transform error.
-    """
-    _require_nondissipative(model)
-    if t < 0:
-        raise NegativeTime(f"t = {t}")
-    require_normalized(state)
+def _wigner_terms(state: Superposition, model: LindbladModel, t: float):
+    """W_t as arrays (mu[K], c0[K], b[K, 2], C[K, 2, 2]) with
+    W_t(x) = sum_k mu_k exp(c0_k + b_k . x + x . C_k x): the symplectic
+    Fourier transform of each damped, transported chord term."""
     h = state.hbar
-    gauss = decoherence_matrix(model, t, steps, h)
-    x_p = np.asarray(x_p, dtype=float)
-    x_q = np.asarray(x_q, dtype=float)
-
-    total = np.zeros(np.broadcast(x_p, x_q).shape, dtype=complex)
+    gauss = decoherence_matrix(model, t, hbar=h)
     log_pref = math.log(math.pi) - 2.0 * math.log(2.0 * math.pi * h)
+    terms = []
     for mu, c0, b, cmat in _unitary_pair_terms(state, model, t):
         if mu == 0:
             continue
@@ -321,10 +360,60 @@ def wigner_evolved_values(state: Superposition, model: LindbladModel,
         c0p = c0 - 0.25 * (b @ cinv @ b) + log_pref - 0.5 * np.log(det_neg)
         bp = (-0.5j / h) * (J @ cinv @ b)
         cp = (1.0 / (4.0 * h * h)) * (J @ cinv @ J.T)
-        total += mu * np.exp(c0p + bp[0] * x_p + bp[1] * x_q
-                             + cp[0, 0] * x_p * x_p + 2.0 * cp[0, 1] * x_p * x_q
-                             + cp[1, 1] * x_q * x_q)
+        terms.append((mu, c0p, bp, cp))
+    return tuple(np.array(column) for column in zip(*terms))
+
+
+def _axis_factors(b: np.ndarray, c: np.ndarray, x: np.ndarray):
+    """exp(b_k x + c_k x^2) on one axis, shape (len(x), K), each column divided
+    by its largest modulus so that none overflows; returns the factors and the
+    logs of those moduli."""
+    expo = np.multiply.outer(x, b) + np.multiply.outer(x * x, c)
+    top = expo.real.max(axis=0)
+    return np.exp(expo - top), top
+
+
+def _separable_values(terms, x_p: np.ndarray, x_q: np.ndarray) -> np.ndarray:
+    """sum_k on the outer grid x_p x x_q as one product F[Np, K] @ G[K, Nq],
+    valid when every C_k is diagonal."""
+    mu, c0, b, c = terms
+    f, top_p = _axis_factors(b[:, 0], c[:, 0, 0], x_p)
+    g, top_q = _axis_factors(b[:, 1], c[:, 1, 1], x_q)
+    return (f * (mu * np.exp(c0 + top_p + top_q))) @ g.T
+
+
+def _dense_values(terms, x_p: np.ndarray, x_q: np.ndarray) -> np.ndarray:
+    """sum_k term by term on any broadcastable x_p, x_q."""
+    total = np.zeros(np.broadcast(x_p, x_q).shape, dtype=complex)
+    for mu, c0, b, c in zip(*terms):
+        total += mu * np.exp(c0 + b[0] * x_p + b[1] * x_q
+                             + c[0, 0] * x_p * x_p + 2.0 * c[0, 1] * x_p * x_q
+                             + c[1, 1] * x_q * x_q)
     return total
+
+
+def wigner_evolved_values(state: Superposition, model: LindbladModel,
+                          x_p, x_q, t: float) -> np.ndarray:
+    """W_t(x): symplectic Fourier conjugate of chi_t, term-exact.
+
+    Each chord-term Gaussian transforms in closed form, so the grid only
+    samples the result; there is no discrete-transform error.  On an outer
+    grid (x_p of shape (Np, 1), x_q of shape (1, Nq)) where no term couples p
+    and q (identity frames and diagonal M_t, as for H = 0) the K terms are
+    summed as one rank-K matrix product; otherwise term by term.
+    """
+    _require_nondissipative(model)
+    if t < 0:
+        raise NegativeTime(f"t = {t}")
+    require_normalized(state)
+    x_p = np.asarray(x_p, dtype=float)
+    x_q = np.asarray(x_q, dtype=float)
+    terms = _wigner_terms(state, model, t)
+    outer = (x_p.ndim == x_q.ndim == 2 and x_p.shape[1] == 1 and x_q.shape[0] == 1
+             and x_p.size > 0 and x_q.size > 0)
+    if outer and not np.any(terms[3][:, 0, 1]):
+        return _separable_values(terms, x_p[:, 0], x_q[0])
+    return _dense_values(terms, x_p, x_q)
 
 
 @dataclass(frozen=True)
@@ -463,7 +552,7 @@ def lifting_time(series: LineScanSeries, spot, epsilon: float = 1e-3) -> Lifting
 
 HUSIMI_DET = 1.0 / 16.0
 _HUSIMI_DOUBLINGS = 16
-_HUSIMI_PRECISION = 1e-6
+_HUSIMI_PRECISION = 1e-12
 
 
 def _bisect_earliest(holds, lo: float, hi: float, rel_precision: float) -> float:
@@ -486,7 +575,7 @@ def husimi_time(model: LindbladModel) -> float:
     some such G, so W_t is a Husimi function smoothed further by a positive
     Gaussian and cannot be negative, whatever the initial pure state.  For
     H = 0 the bound is 1/(2 sqrt(det C)); otherwise M_t only grows, so it is
-    bracketed by doubling and bisected to 1e-6 relative.  When det M_t stays
+    bracketed by doubling and bisected to 1e-12 relative.  When det M_t stays
     below 1/16 (a single coupling that the Hamiltonian does not mix) the
     result is inf.
     """

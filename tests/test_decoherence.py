@@ -3,11 +3,13 @@ import pytest
 
 from blindspots import (
     DissipativeUnsupported,
+    GaussianState,
     LindbladModel,
     NegativeTime,
     NeverLifted,
     NeverPositive,
     NoMinimum,
+    NumericalError,
     Superposition,
     ValidationError,
     chord_exact,
@@ -26,11 +28,13 @@ from blindspots import (
     wigner_evolved_values,
     wigner_exact,
 )
+from blindspots import decoherence
+from blindspots.chord import wavefunction
 from blindspots.decoherence import evolved_chord_gradient, smoothing_covariance
 from blindspots.fields import grid_axes
 from blindspots.geometry import J
 from blindspots.spots import DiffractionModel, hexagonal_lattice, newton_refine
-from conftest import COMPACT_CENTERS, HBAR, triplet
+from conftest import COMPACT_CENTERS, HBAR, corner_triplet_state, triplet
 
 
 def line_spot(state):
@@ -106,6 +110,98 @@ def test_decoherence_matrix_monotone_psd():
         diff_eigs = np.linalg.eigvalsh(m - prev)
         assert diff_eigs.min() > -1e-12
         prev = m
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+def test_decoherence_matrix_rejects_nonfinite_time(t):
+    with pytest.raises(ValidationError):
+        decoherence_matrix(FAST_ELLIPTIC, t)
+
+
+def test_decoherence_matrix_rejects_dissipative_model():
+    model = LindbladModel(np.zeros((2, 2)), (np.array([1.0, 0.0]) + 1j * np.array([0.0, 1.0]),))
+    with pytest.raises(DissipativeUnsupported):
+        decoherence_matrix(model, 0.1)
+
+
+# A = 2 J H = diag(-1, 1): q contracts under R_{-s}, p grows
+HYPERBOLIC_H = np.array([[0.0, 0.5], [0.5, 0.0]])
+STABLE_HYPERBOLIC = LindbladModel(HYPERBOLIC_H, (np.array([0.0, 1.0]),))
+MIXED_HYPERBOLIC = LindbladModel(HYPERBOLIC_H, (np.array([1.0, 1.0]),))
+FAST_ELLIPTIC = LindbladModel(np.diag([1.0, 2.0]), (np.array([0.0, 1.0]),))
+FREE_PARTICLE = LindbladModel(np.diag([0.5, 0.0]), (np.array([0.0, 1.0]),))
+NEAR_FREE = LindbladModel(np.array([[0.5, 0.0], [0.0, -1e-7]]), (np.array([0.3, 1.0]),))
+
+
+def quadrature_m(model, t, panels=64):
+    """(1/2) int_0^t R_{-s}^T C R_{-s} ds by composite 10-point Gauss-Legendre."""
+    x, w = np.polynomial.legendre.leggauss(10)
+    edges = np.linspace(0.0, t, panels + 1)
+    c = model.coupling_matrix()
+    total = np.zeros((2, 2))
+    for a, b in zip(edges[:-1], edges[1:]):
+        for xk, wk in zip(x, w):
+            r = propagator_matrix(model.hamiltonian, -(a + 0.5 * (b - a) * (xk + 1.0)))
+            total += 0.5 * (b - a) * wk * (r.T @ c @ r)
+    return 0.5 * total
+
+
+def test_decoherence_matrix_matches_quadrature():
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        a = rng.normal(size=(2, 2))
+        l = rng.normal(size=2) + 1j * rng.normal(size=2)
+        model = LindbladModel(0.5 * (a + a.T), (l.real + 0j, l.imag + 0j))
+        for t in (0.05, 0.4, 1.5):
+            want = quadrature_m(model, t)
+            got = decoherence_matrix(model, t).m
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model", [FAST_ELLIPTIC, MIXED_HYPERBOLIC, NEAR_FREE])
+def test_decoherence_matrix_branch_seams(model):
+    # the series gives way to cos/sin or the projectors at 4 |det A| t^2 = 1
+    seam = 0.5 / np.sqrt(abs(np.linalg.det(2.0 * (J @ model.hamiltonian))))
+    for t in (seam * (1 - 1e-9), seam * (1 + 1e-9)):
+        want = quadrature_m(model, t)
+        got = decoherence_matrix(model, t).m
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t", [3.5, 40.0])
+def test_decoherence_matrix_hyperbolic_stable_coupling(t):
+    want = np.diag([0.0, 0.25 * (1.0 - np.exp(-2.0 * t))])
+    assert np.max(np.abs(decoherence_matrix(STABLE_HYPERBOLIC, t).m - want)) < 1e-12
+
+
+def test_husimi_time_hyperbolic_stable_coupling():
+    # det M_t = 0 at every t; the growing piece has a zero coefficient
+    assert husimi_time(STABLE_HYPERBOLIC) == np.inf
+
+
+@pytest.mark.parametrize("strength, t", [(1.0, 1000.0), (10.0, 354.6)])
+def test_decoherence_matrix_overflow_is_typed(strength, t):
+    # e^{2t} overflows at t = 1000; at t = 354.6 it is finite but M_t is not
+    model = LindbladModel(HYPERBOLIC_H, (np.array([strength, strength]),))
+    with pytest.raises(NumericalError):
+        decoherence_matrix(model, t)
+
+
+@pytest.mark.parametrize("model", [FAST_ELLIPTIC, MIXED_HYPERBOLIC, FREE_PARTICLE, NEAR_FREE])
+@pytest.mark.parametrize("t", [1.7, 5.0, 50.0])
+def test_decoherence_matrix_semigroup(model, t):
+    # M_{t+s} = M_t + R_{-t}^T M_s R_{-t}
+    s = 0.9
+    r = propagator_matrix(model.hamiltonian, -t)
+    m_ts = decoherence_matrix(model, t + s).m
+    m_sum = decoherence_matrix(model, t).m + r.T @ decoherence_matrix(model, s).m @ r
+    assert np.max(np.abs(m_ts - m_sum)) < 1e-12 * max(1.0, np.max(np.abs(m_ts)))
+
+
+def test_husimi_time_fast_elliptic():
+    th = husimi_time(FAST_ELLIPTIC)
+    assert np.isfinite(th)
+    assert 16.0 * np.linalg.det(decoherence_matrix(FAST_ELLIPTIC, th).m) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_evolved_chord_zero_time(corner_triplet, pq_model):
@@ -411,3 +507,60 @@ def test_wigner_minimum_monotone(corner_triplet, pq_model):
     mins = [_wigner_extrema(corner_triplet, pq_model, window, shape, t)[0]
             for t in (0.0, 0.02, 0.05, 0.1)]
     assert all(b > a for a, b in zip(mins, mins[1:]))
+
+
+@pytest.fixture
+def separable_calls(monkeypatch):
+    """Records every rank-K product evaluation of W_t."""
+    calls = []
+    original = decoherence._separable_values
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(decoherence, "_separable_values", spy)
+    return calls
+
+
+def wigner_axes(state, n=241):
+    lo, hi = state.centers.min(axis=0) - 1.0, state.centers.max(axis=0) + 1.0
+    return np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n - 14)
+
+
+SEPARABLE_STATES = {"compact triplet": triplet(COMPACT_CENTERS),
+                    "corner triplet d=5": corner_triplet_state(5.0)}
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.3, 0.499])
+@pytest.mark.parametrize("name", SEPARABLE_STATES)
+def test_wigner_separable_matches_dense(separable_calls, pq_model, name, t):
+    state = SEPARABLE_STATES[name]
+    ap, aq = wigner_axes(state)
+    grid = wigner_evolved_values(state, pq_model, ap[:, None], aq[None, :], t)
+    assert len(separable_calls) == 1
+    pp, qq = np.meshgrid(ap, aq, indexing="ij")
+    dense = wigner_evolved_values(state, pq_model, pp, qq, t)
+    assert len(separable_calls) == 1
+    assert np.max(np.abs(grid - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def wigner_position_reference(state, p, q):
+    """W(p, q) = (1/2 pi hbar) int dy Psi(q + y/2) Psi*(q - y/2) exp(-i p y / hbar)."""
+    h = state.hbar
+    y = np.linspace(-6.0, 6.0, 24001)
+    f = (wavefunction(state, q + y / 2) * np.conj(wavefunction(state, q - y / 2))
+         * np.exp(-1j * p * y / h))
+    return float(np.sum(f).real * (y[1] - y[0]) / (2.0 * np.pi * h))
+
+
+def test_wigner_squeezed_frames_take_dense_path(separable_calls, pq_model):
+    frames = (np.array([[1.3, 0.0], [0.4, 1 / 1.3]]), np.eye(2),
+              np.array([[0.8, -0.3], [0.0, 1 / 0.8]]))
+    state = normalize(Superposition(HBAR, tuple(
+        (1.0, GaussianState(c, f)) for c, f in zip(COMPACT_CENTERS, frames))))
+    ap, aq = wigner_axes(state, 61)
+    w = wigner_evolved_values(state, pq_model, ap[:, None], aq[None, :], 0.0)
+    assert not separable_calls
+    for i, j in ((30, 23), (12, 40), (45, 10), (7, 7)):
+        assert abs(w[i, j] - wigner_position_reference(state, ap[i], aq[j])) < 1e-10
