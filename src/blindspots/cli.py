@@ -64,6 +64,20 @@ def _require_keys(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _read(block: dict, key: str, where: str, convert, default=None):
+    """convert(block[key]), or convert(default) when the key is absent; a value
+    that convert cannot take raises ConfigError."""
+    value = block.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"bad {where}.{key}: {value!r}") from exc
+
+
+def _int_pair(v) -> tuple:
+    return int(v[0]), int(v[1])
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r") as fh:
@@ -177,11 +191,9 @@ def cmd_grid(cfg: dict, out: IO[str], threads: int) -> int:
     if kind not in ("chord", "wigner", "corr"):
         raise ConfigError(f"grid.kind must be chord, wigner or corr, got {kind!r}")
     window = _window_from(block)
-    shape = block.get("shape")
-    try:
-        rows, cols = int(shape[0]), int(shape[1])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad grid.shape: {shape!r}") from exc
+    rows, cols = _read(block, "shape", "grid", _int_pair)
+    if rows < 2 or cols < 2:
+        raise ConfigError(f"bad grid.shape: {rows} x {cols}, need at least 2 x 2")
 
     values = _grid_rows_values(state, kind, window, (rows, cols), threads)
     ap, aq = grid_axes(window, (rows, cols))
@@ -192,18 +204,18 @@ def cmd_grid(cfg: dict, out: IO[str], threads: int) -> int:
     lines.append(f"# window_q = {_fmt(window[1][0])} {_fmt(window[1][1])}")
     lines.append(f"# shape = {rows} {cols}")
     axis_name = "x" if kind == "wigner" else "xi"
+    ps = [f"{x:.17g}" for x in ap.tolist()]
+    qs = [f"{x:.17g}" for x in aq.tolist()]
     if kind == "chord":
         lines.append(f"{axis_name}_p,{axis_name}_q,re,im")
-        for i in range(rows):
-            for j in range(cols):
-                v = values[i, j]
-                lines.append(f"{_fmt(ap[i])},{_fmt(aq[j])},{_fmt(v.real)},{_fmt(v.imag)}")
+        for p, re_row, im_row in zip(ps, values.real, values.imag):
+            lines.extend(f"{p},{q},{re:.17g},{im:.17g}"
+                         for q, re, im in zip(qs, re_row.tolist(), im_row.tolist()))
     else:
         lines.append(f"{axis_name}_p,{axis_name}_q,value")
         vr = values.real if np.iscomplexobj(values) else values
-        for i in range(rows):
-            for j in range(cols):
-                lines.append(f"{_fmt(ap[i])},{_fmt(aq[j])},{_fmt(vr[i, j])}")
+        for p, row in zip(ps, vr):
+            lines.extend(f"{p},{q},{v:.17g}" for q, v in zip(qs, row.tolist()))
     out.write("\n".join(lines) + "\n")
     return 0
 
@@ -212,8 +224,10 @@ def cmd_spots(cfg: dict, out: IO[str], threads: int) -> int:
     state = _state_from_config(cfg)
     block = cfg.get("spots", {})
     _require_keys(block, {"window", "grid_step", "tol", "k_range", "max_iter"}, "spots")
-    tol = float(block.get("tol", 1e-12))
-    max_iter = int(block.get("max_iter", 50))
+    tol = _read(block, "tol", "spots", float, 1e-12)
+    max_iter = _read(block, "max_iter", "spots", int, 50)
+    k_range = _read(block, "k_range", "spots", lambda kr: (_int_pair(kr[0]), _int_pair(kr[1])),
+                    ((-2, 2), (-2, 2)))
 
     lines = _meta_lines(cfg, "spots")
     lines.append("# triangle sides = |a_n|^2 (closure contract)")
@@ -226,8 +240,6 @@ def cmd_spots(cfg: dict, out: IO[str], threads: int) -> int:
     if len(state) == 3:
         try:
             model = DiffractionModel.from_superposition(state)
-            kr = block.get("k_range", ((-2, 2), (-2, 2)))
-            k_range = ((int(kr[0][0]), int(kr[0][1])), (int(kr[1][0]), int(kr[1][1])))
             lattice = hexagonal_lattice(model, k_range)
             plus, minus = lattice.angles
             lines.append(f"# theta_plus = {_fmt(plus.theta1)} {_fmt(plus.theta2)}")
@@ -254,7 +266,7 @@ def cmd_spots(cfg: dict, out: IO[str], threads: int) -> int:
         if win is None:
             r = 3.0 * np.sqrt(state.hbar)
             win = ((-r, r), (-r, r))
-        step = float(block.get("grid_step", np.sqrt(state.hbar) / 15.0))
+        step = _read(block, "grid_step", "spots", float, np.sqrt(state.hbar) / 15.0)
         for spot in find_spots_generic(state, win, step, tol=tol, max_iter=max_iter):
             rows.append((spot, None, None, ""))
 
@@ -305,11 +317,11 @@ def cmd_decohere(cfg: dict, out: IO[str], threads: int) -> int:
     point = np.asarray(line_block["point"], dtype=float)
     direction = np.asarray(line_block["direction"], dtype=float)
     direction = direction / np.hypot(*direction)
-    times = [float(t) for t in block["times"]]
+    times = _read(block, "times", "decohere", lambda v: [float(t) for t in v])
+    s_range = _read(block, "s_range", "decohere", lambda v: (float(v[0]), float(v[1])))
+    n_samples = _read(block, "n_samples", "decohere", int)
 
-    series = scan_line(state, model, (point, direction),
-                       (float(block["s_range"][0]), float(block["s_range"][1])),
-                       int(block["n_samples"]), times)
+    series = scan_line(state, model, (point, direction), s_range, n_samples, times)
 
     lines = _meta_lines(cfg, "decohere")
     lines.append(f"# alpha = {_fmt(dissipation_coeff(model))}")
@@ -321,10 +333,11 @@ def cmd_decohere(cfg: dict, out: IO[str], threads: int) -> int:
         spot_cfg = block.get("spot")
         spot = (np.asarray(spot_cfg, dtype=float) if spot_cfg is not None
                 else _auto_line_spot(state, point, direction))
-        lift = lifting_time(series, spot, float(block.get("epsilon", 1e-3)))
+        lift = lifting_time(series, spot, _read(block, "epsilon", "decohere", float, 1e-3))
         t_p = positivity_time(state, model,
-                              t_max=block.get("t_max"),
-                              tol=float(block.get("positivity_tol", 0.0)))
+                              t_max=_read(block, "t_max", "decohere",
+                                          lambda v: None if v is None else float(v)),
+                              tol=_read(block, "positivity_tol", "decohere", float, 0.0))
         centers = state.centers
         area = 0.5 * abs(skew(centers[1] - centers[0], centers[2] - centers[0]))
         ratio = lift.tau_l * area / (state.hbar * t_p)
@@ -335,11 +348,10 @@ def cmd_decohere(cfg: dict, out: IO[str], threads: int) -> int:
         lines.append(f"# ratio_tau_l_A_over_hbar_t_p = {_fmt(ratio)}")
 
     lines.append("t,s,xi_p,xi_q,value")
-    pts = series.positions()
-    for ti, t in enumerate(series.times):
-        for si, s in enumerate(series.samples):
-            lines.append(f"{_fmt(t)},{_fmt(s)},{_fmt(pts[si, 0])},{_fmt(pts[si, 1])},"
-                         f"{_fmt(series.values[ti, si])}")
+    positions = [f"{s:.17g},{p:.17g},{q:.17g}"
+                 for s, (p, q) in zip(series.samples.tolist(), series.positions().tolist())]
+    for t, row in zip(series.times, series.values):
+        lines.extend(f"{t:.17g},{pos},{v:.17g}" for pos, v in zip(positions, row.tolist()))
     out.write("\n".join(lines) + "\n")
     return 0
 
@@ -386,8 +398,8 @@ def cmd_check(cfg: dict, out: IO[str], threads: int) -> int:
     block = cfg.get("check", {})
     _require_keys(block, {"seed", "n_random", "window", "shape"}, "check")
     state = _state_from_config(cfg)
-    rng = np.random.default_rng(int(block.get("seed", 20260808)))
-    n_random = int(block.get("n_random", 50))
+    rng = np.random.default_rng(_read(block, "seed", "check", int, 20260808))
+    n_random = _read(block, "n_random", "check", int, 50)
     results = []
 
     def record(name: str, ok: bool, detail: str):
@@ -420,7 +432,7 @@ def cmd_check(cfg: dict, out: IO[str], threads: int) -> int:
 
     if "window" in block:
         window = _window_from(block)
-        shape = tuple(int(x) for x in block.get("shape", (201, 201)))
+        shape = _read(block, "shape", "check", _int_pair, (201, 201))
         grid = correlation_grid(state, window, shape)
         require_adequate(grid.values)  # raises WindowTooSmall -> exit 3
         ft = fourier_2d(grid, state.hbar)

@@ -16,8 +16,11 @@ that is M_t = (1/2) int_0^t R_{-s}^T C R_{-s} ds, which is integrated exactly
 The correlation C(xi, t) = F[|chi_t|^2] is then the pure-state correlation
 convolved with a normalized Gaussian of covariance -4 hbar J M_t J; both the
 correlation and the evolving Wigner function stay finite sums of complex
-Gaussians, evaluated here in closed form.  On outer grids whose terms do not
-couple p and q, W_t is one rank-K matrix product.
+Gaussians, evaluated here in closed form.  The chord terms are held as arrays
+(mu, c0, b, C); the Fourier transform (for W_t) and the convolution (for C, on
+all pairs of terms) map them to new arrays of the same form, which one
+evaluator sums.  On outer grids whose terms do not couple p and q, W_t is one
+rank-K matrix product.
 """
 
 from __future__ import annotations
@@ -277,12 +280,11 @@ def evolved_correlation(state: Superposition, model: LindbladModel, window, shap
 # -- closed-form Gaussian algebra ----------------------------------------------
 
 def _unitary_pair_terms(state: Superposition, model: LindbladModel, t: float):
-    """Chord pair exponents transported by the classical flow R_{-t}."""
+    """Chord pair exponents transported by the classical flow R_{-t}, as arrays
+    (mu[K], c0[K], b[K, 2], C[K, 2, 2])."""
     r_back = propagator_matrix(model.hamiltonian, -t)
-    terms = []
-    for mu, c0, b, cmat in pair_exponents(state):
-        terms.append((mu, c0, r_back.T @ b, r_back.T @ cmat @ r_back))
-    return terms
+    mu, c0, b, c = (np.array(column) for column in zip(*pair_exponents(state)))
+    return mu, c0, b @ r_back, r_back.T @ c @ r_back
 
 
 def smoothing_covariance(gauss: DecoherenceGaussian) -> np.ndarray:
@@ -296,9 +298,12 @@ def correlation_evolved_points(state: Superposition, model: LindbladModel,
 
     |chi_u|^2 is its own symplectic Fourier transform (the state stays pure
     under the unitary part), so C(., t) is |chi_u|^2 convolved with the
-    normalized Gaussian of covariance -4 hbar J M_t J.  Every term of
-    |chi_u|^2 is a complex Gaussian, and the convolution integral is done in
-    closed form term by term.
+    normalized Gaussian Sigma of covariance -4 hbar J M_t J.  |chi_u|^2 is a
+    sum over all pairs (k, l) of chord terms of mu exp(c0 + b.x + x.C x), and
+    the convolution maps each to another Gaussian in x: with
+    D = I - 2 Sigma C and G = D^{-1} Sigma, the weight becomes mu / sqrt(det D),
+    c0 + b.G b / 2, b + 2 C G b and C + 2 C G C.  All pairs are folded at once
+    as arrays and the result is summed like any other Gaussian sum.
     """
     _require_nondissipative(model)
     if t < 0:
@@ -307,35 +312,28 @@ def correlation_evolved_points(state: Superposition, model: LindbladModel,
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    xp = pts[:, 0]
-    xq = pts[:, 1]
 
-    gauss = decoherence_matrix(model, t, hbar=state.hbar)
-    sigma = smoothing_covariance(gauss)
-    chord_terms = _unitary_pair_terms(state, model, t)
-    eye = np.eye(2)
+    sigma = smoothing_covariance(decoherence_matrix(model, t, hbar=state.hbar))
+    mu, c0, b, c = _unitary_pair_terms(state, model, t)
+    # all K^2 pairs, not half of them: the imaginary-part check below relies on
+    # conjugate pairs cancelling, which a wrong branch of sqrt(det D) would break
+    mu = np.multiply.outer(mu, np.conj(mu)).ravel()
+    keep = mu != 0
+    mu = mu[keep]
+    c0 = np.add.outer(c0, np.conj(c0)).ravel()[keep]
+    b = (b[:, None] + np.conj(b)[None, :]).reshape(-1, 2)[keep]
+    c = (c[:, None] + np.conj(c)[None, :]).reshape(-1, 2, 2)[keep]
 
-    total = np.zeros(len(pts), dtype=complex)
-    for mu_k, c0_k, b_k, c_k in chord_terms:
-        for mu_l, c0_l, b_l, c_l in chord_terms:
-            mu = mu_k * np.conj(mu_l)
-            if mu == 0:
-                continue
-            c0 = c0_k + np.conj(c0_l)
-            b = b_k + np.conj(b_l)
-            cc = c_k + np.conj(c_l)
-            d = eye - 2.0 * (sigma @ cc)
-            det = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]
-            g = np.linalg.solve(d, sigma)
-            g = 0.5 * (g + g.T)
-            u_p = b[0] + 2.0 * (cc[0, 0] * xp + cc[0, 1] * xq)
-            u_q = b[1] + 2.0 * (cc[1, 0] * xp + cc[1, 1] * xq)
-            quad_half_ugu = 0.5 * (g[0, 0] * u_p * u_p + 2.0 * g[0, 1] * u_p * u_q
-                                   + g[1, 1] * u_q * u_q)
-            expo = (c0 + b[0] * xp + b[1] * xq
-                    + cc[0, 0] * xp * xp + 2.0 * cc[0, 1] * xp * xq + cc[1, 1] * xq * xq
-                    + quad_half_ugu)
-            total += (mu / np.sqrt(det)) * np.exp(expo)
+    d = np.eye(2) - 2.0 * (sigma @ c)
+    det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
+    g = np.linalg.solve(d, sigma)
+    g = 0.5 * (g + g.swapaxes(1, 2))
+    gb = (g @ b[:, :, None])[:, :, 0]
+    c_folded = c + 2.0 * (c @ g @ c)
+    terms = (mu / np.sqrt(det), c0 + 0.5 * np.sum(b * gb, axis=1),
+             b + 2.0 * (c @ gb[:, :, None])[:, :, 0],
+             0.5 * (c_folded + c_folded.swapaxes(1, 2)))
+    total = _dense_values(terms, pts[:, 0], pts[:, 1])
 
     if np.max(np.abs(total.imag)) > 1e-9 * max(1.0, np.max(np.abs(total))):
         raise NumericalError("evolved correlation left an imaginary part")
@@ -349,19 +347,18 @@ def _wigner_terms(state: Superposition, model: LindbladModel, t: float):
     h = state.hbar
     gauss = decoherence_matrix(model, t, hbar=h)
     log_pref = math.log(math.pi) - 2.0 * math.log(2.0 * math.pi * h)
-    terms = []
-    for mu, c0, b, cmat in _unitary_pair_terms(state, model, t):
-        if mu == 0:
-            continue
-        cc = cmat - gauss.m / h
-        cinv = np.linalg.inv(cc)
-        cinv = 0.5 * (cinv + cinv.T)
-        det_neg = (-cc[0, 0]) * (-cc[1, 1]) - cc[0, 1] * cc[1, 0]
-        c0p = c0 - 0.25 * (b @ cinv @ b) + log_pref - 0.5 * np.log(det_neg)
-        bp = (-0.5j / h) * (J @ cinv @ b)
-        cp = (1.0 / (4.0 * h * h)) * (J @ cinv @ J.T)
-        terms.append((mu, c0p, bp, cp))
-    return tuple(np.array(column) for column in zip(*terms))
+    mu, c0, b, cmat = _unitary_pair_terms(state, model, t)
+    keep = mu != 0
+    mu, c0, b, cmat = mu[keep], c0[keep], b[keep], cmat[keep]
+    cc = cmat - gauss.m / h
+    cinv = np.linalg.inv(cc)
+    cinv = 0.5 * (cinv + cinv.swapaxes(1, 2))
+    cinv_b = (cinv @ b[:, :, None])[:, :, 0]
+    det_neg = (-cc[:, 0, 0]) * (-cc[:, 1, 1]) - cc[:, 0, 1] * cc[:, 1, 0]
+    c0p = c0 - 0.25 * np.sum(b * cinv_b, axis=1) + log_pref - 0.5 * np.log(det_neg)
+    bp = (-0.5j / h) * (cinv_b @ J.T)
+    cp = (1.0 / (4.0 * h * h)) * (J @ cinv @ J.T)
+    return mu, c0p, bp, cp
 
 
 def _axis_factors(b: np.ndarray, c: np.ndarray, x: np.ndarray):

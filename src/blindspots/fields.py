@@ -73,12 +73,6 @@ class FieldGrid:
     def step_q(self) -> float:
         return (self.window[1][1] - self.window[1][0]) / (self.shape[1] - 1)
 
-    def meshgrid(self):
-        return np.meshgrid(self.axis_p, self.axis_q, indexing="ij")
-
-    def real_values(self) -> np.ndarray:
-        return self.values.real if np.iscomplexobj(self.values) else self.values
-
 
 def grid_axes(window: Window, shape: Tuple[int, int]):
     (plo, phi), (qlo, qhi) = window

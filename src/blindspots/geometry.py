@@ -37,11 +37,6 @@ def skew(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def skew_grid(a: np.ndarray, bp: np.ndarray, bq: np.ndarray) -> np.ndarray:
-    """skew(a, (bp, bq)) broadcast over arrays of second arguments."""
-    return a[0] * bq - a[1] * bp
-
-
 def check_symplectic(s, tol: float = SYMPLECTIC_DET_TOL) -> np.ndarray:
     """Validate a 2x2 real matrix with unit determinant."""
     m = np.asarray(s, dtype=float)

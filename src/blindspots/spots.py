@@ -131,15 +131,6 @@ def small_chord(model: DiffractionModel, xi) -> complex:
     return complex(np.sum(np.asarray(model.weights) * np.exp(1j * phases)))
 
 
-def small_chord_values(model: DiffractionModel, xi_p, xi_q) -> np.ndarray:
-    xi_p = np.asarray(xi_p, dtype=float)
-    xi_q = np.asarray(xi_q, dtype=float)
-    total = np.zeros(np.broadcast(xi_p, xi_q).shape, dtype=complex)
-    for w, c in zip(model.weights, model.centers):
-        total += w * np.exp(1j * (c[0] * xi_q - c[1] * xi_p) / model.hbar)
-    return total
-
-
 def triangle_close(w0: float, w1: float, w2: float) -> Tuple[TriangleAngles, TriangleAngles]:
     """Both angle branches closing the weight-phasor triangle.
 

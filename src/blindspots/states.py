@@ -49,9 +49,6 @@ class GaussianState:
         """Complex Gaussian width parameter A (Re A > 0) of the wavefunction."""
         return width_from_frame(self.frame)
 
-    def is_identity_frame(self, tol: float = 1e-14) -> bool:
-        return bool(np.all(np.abs(self.frame - _IDENTITY) <= tol))
-
 
 @dataclass(frozen=True)
 class Superposition:

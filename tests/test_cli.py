@@ -239,3 +239,36 @@ def test_malformed_json_rejected(tmp_path):
 
 def test_missing_config_file():
     assert main(["grid", "/nonexistent/cfg.json"]) == 2
+
+
+def valid_config(subcommand):
+    cfg = base_config()
+    if subcommand == "grid":
+        cfg["grid"] = {"kind": "chord", "window": [[-0.4, 0.4], [-0.4, 0.4]], "shape": [11, 11]}
+    elif subcommand == "decohere":
+        cfg["lindblad"] = {"couplings": [{"re": [1.0, 0.0]}, {"re": [0.0, 1.0]}]}
+        cfg["decohere"] = {"line": {"point": [0.0, 0.0], "direction": [1.0, 0.0]},
+                           "s_range": [-0.3, 0.3], "n_samples": 11, "times": [0.0],
+                           "summary": False}
+    else:
+        cfg["spots"] = {"k_range": [[-1, 1], [-1, 1]]}
+    return cfg
+
+
+@pytest.mark.parametrize("subcommand, key, value", [
+    ("grid", "shape", [-5, 3]),
+    ("grid", "shape", [1, 1]),
+    ("decohere", "n_samples", "x"),
+    ("decohere", "s_range", 0.1),
+    ("spots", "k_range", 5),
+])
+def test_malformed_value_exits_2(tmp_path, capsys, subcommand, key, value):
+    cfg = valid_config(subcommand)
+    path = write_config(tmp_path, "ok.json", cfg)
+    assert main([subcommand, path, "--out", str(tmp_path / "ok.csv")]) == 0
+    cfg[subcommand][key] = value
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main([subcommand, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad {subcommand}.{key}")

@@ -306,6 +306,50 @@ def test_closed_form_matches_grid_route_rotating(corner_triplet):
         assert abs(grid.values[i, j] - v) < 1e-9
 
 
+def squeezed_triplet():
+    """Compact triplet whose first and third frames couple p and q."""
+    frames = (np.array([[1.3, 0.0], [0.4, 1 / 1.3]]), np.eye(2),
+              np.array([[0.8, -0.3], [0.0, 1 / 0.8]]))
+    return normalize(Superposition(HBAR, tuple(
+        (1.0, GaussianState(c, f)) for c, f in zip(COMPACT_CENTERS, frames))))
+
+
+SIX_TERM_STATE = normalize(Superposition.from_centers(
+    HBAR, [1.0, 0.5j, 0.8, -0.6, 0.7 - 0.2j, 0.9],
+    [(0.0, 0.0), (1.1, 0.4), (-0.5, 1.0), (0.7, -0.9), (-1.2, -0.3), (0.1, 1.6)]))
+
+# (state, model, t, window, shape); the hyperbolic flow at t = 3.5 squeezes
+# |chi_t|^2 by e^{3.5} along xi_p, so its grid is narrow and fine there
+FOLDED_CASES = {
+    "squeezed frames, H = diag(1, 1/4)": (
+        squeezed_triplet(), LindbladModel(np.diag([1.0, 0.25]), (np.array([0.0, 1.0]),)),
+        0.3, ((-3.5, 3.5), (-3.5, 3.5)), (351, 351)),
+    "hyperbolic H at t = 3.5": (
+        triplet(COMPACT_CENTERS), STABLE_HYPERBOLIC, 3.5, ((-0.25, 0.25), (-2.5, 2.5)), (501, 401)),
+    "6-term state": (
+        SIX_TERM_STATE, LindbladModel.position_momentum(), 0.02,
+        ((-4.5, 4.5), (-4.5, 4.5)), (451, 451)),
+}
+
+
+@pytest.mark.parametrize("name", FOLDED_CASES)
+def test_folded_correlation_matches_grid_route(name):
+    state, model, t, window, shape = FOLDED_CASES[name]
+    grid = evolved_correlation(state, model, window, shape, t)
+    ap, aq = grid_axes(window, shape)
+    rows, cols = np.arange(5, shape[0] - 5, 12), np.arange(5, shape[1] - 5, 12)
+    pts = np.stack(np.meshgrid(ap[rows], aq[cols], indexing="ij"), axis=-1).reshape(-1, 2)
+    direct = correlation_evolved_points(state, model, pts, t)
+    assert np.max(np.abs(grid.values[np.ix_(rows, cols)].ravel() - direct)) < 1e-9
+
+
+def test_folded_correlation_single_point_shape(corner_triplet, pq_model):
+    point = np.array([0.3, -0.2])
+    vals = correlation_evolved_points(corner_triplet, pq_model, point, 0.05)
+    assert vals.shape == (1,)
+    assert vals[0] == correlation_evolved_points(corner_triplet, pq_model, point[None, :], 0.05)[0]
+
+
 def test_wigner_evolved_matches_grid_transform_rotating(corner_triplet):
     from blindspots import self_dual_grid, wigner_from_chord_grid
     from blindspots.decoherence import evolved_chord_grid
@@ -555,10 +599,7 @@ def wigner_position_reference(state, p, q):
 
 
 def test_wigner_squeezed_frames_take_dense_path(separable_calls, pq_model):
-    frames = (np.array([[1.3, 0.0], [0.4, 1 / 1.3]]), np.eye(2),
-              np.array([[0.8, -0.3], [0.0, 1 / 0.8]]))
-    state = normalize(Superposition(HBAR, tuple(
-        (1.0, GaussianState(c, f)) for c, f in zip(COMPACT_CENTERS, frames))))
+    state = squeezed_triplet()
     ap, aq = wigner_axes(state, 61)
     w = wigner_evolved_values(state, pq_model, ap[:, None], aq[None, :], 0.0)
     assert not separable_calls
