@@ -3,13 +3,14 @@
 Everything a superposition of Gaussian states can produce is a finite sum of
 complex Gaussians.  Each bra/ket pair (n, m) contributes
 
-    conj(a_n) a_m * exp(c0 + cp xi_p + cq xi_q
-                        + cpp xi_p^2 + cpq xi_p xi_q + cqq xi_q^2)
+    conj(a_n) a_m * exp(c0 + b . xi + xi . C xi)
 
 to the chord function chi(xi) = <Psi| T_{-xi} |Psi>, and an analogous
 quadratic exponent in (p, q) to the Wigner function.  The coefficients come
 from a single closed-form Gaussian integral over position; the independent
-oracle `chord_quadrature` integrates the same definition numerically.
+oracle `chord_quadrature` integrates the same definition numerically.  A
+state builds its K = N^2 pair terms once, as arrays (mu, c0, b, C), and keeps
+them; chi and its gradient at a point are then one exp over K.
 
 For one coherent state at center eta this reduces to
 chi(xi) = exp(i skew(eta, xi)/hbar) exp(-xi^2/4 hbar), the anchor that pins
@@ -29,15 +30,23 @@ from .states import GaussianState, MixedEnsemble, Superposition
 NORMALIZATION_TOL = 1e-9
 
 
-def _pair_quadratic(bra: GaussianState, ket: GaussianState, hbar: float):
-    """Exponent coefficients of <bra| T_{-xi} |ket> as a quadratic in xi."""
-    b = np.conj(bra.width)
-    a = ket.width
-    p1, q1 = bra.center
-    p2, q2 = ket.center
+def pair_arrays(bra, ket, hbar: float):
+    """Chord pair terms of sum_nm conj(a_n) a'_m <bra_n| T_{-xi} |ket_m> as arrays
+    (mu[K], c0[K], b[K, 2], C[K, 2, 2]), term = mu exp(c0 + b.xi + xi.C xi).
+
+    bra and ket are sequences of (amplitude, GaussianState); the pairs run
+    bra-major over the whole index grid and are built in one vectorised pass.
+    Pairs of zero weight are dropped: 0 * exp(overflow) would be NaN.
+    """
+    amp_n, width_n, center_n = _term_columns(bra)
+    amp_m, width_m, center_m = _term_columns(ket)
+    b = np.conj(width_n)[:, None]
+    a = width_m[None, :]
+    p1, q1 = center_n[:, 0, None], center_n[:, 1, None]
+    p2, q2 = center_m[None, :, 0], center_m[None, :, 1]
 
     a2 = 0.5 * (b + a)
-    logpref = 0.25 * (math.log(bra.width.real) + math.log(ket.width.real)) - 0.5 * np.log(a2)
+    logpref = 0.25 * (np.log(b.real) + np.log(a.real)) - 0.5 * np.log(a2)
 
     l0 = b * q1 + a * q2 + 1j * (p2 - p1)
     lq = 0.5 * (b - a)
@@ -54,7 +63,27 @@ def _pair_quadratic(bra: GaussianState, ket: GaussianState, hbar: float):
     cpp = lp * lp * inv
     cpq = 2.0 * lp * lq * inv
     cqq = lq * lq * inv + k0qq / hbar
-    return c0, cp, cq, cpp, cpq, cqq
+    return _gaussian_terms(np.conj(amp_n)[:, None] * amp_m[None, :],
+                           c0, cp, cq, cpp, cpq, cqq)
+
+
+def _term_columns(terms):
+    """Amplitudes, complex widths and centers of (amplitude, GaussianState) terms."""
+    return (np.array([a for a, _ in terms], dtype=complex),
+            np.array([g.width for _, g in terms], dtype=complex),
+            np.array([g.center for _, g in terms], dtype=float))
+
+
+def _gaussian_terms(mu, c0, cp, cq, cpp, cpq, cqq):
+    """(mu[K], c0[K], b[K, 2], C[K, 2, 2]) from arrays of the six exponent
+    coefficients c0 + cp xi_p + cq xi_q + cpp xi_p^2 + cpq xi_p xi_q + cqq xi_q^2,
+    without the terms of zero weight."""
+    mu = np.ravel(mu)
+    keep = mu != 0
+    half = 0.5 * cpq
+    b = np.stack([cp, cq], axis=-1).reshape(-1, 2)
+    c = np.stack([cpp, half, half, cqq], axis=-1).reshape(-1, 2, 2)
+    return mu[keep], np.ravel(c0)[keep], b[keep], c[keep]
 
 
 def _pair_wigner_quadratic(bra: GaussianState, ket: GaussianState, hbar: float):
@@ -86,49 +115,48 @@ def _pair_wigner_quadratic(bra: GaussianState, ket: GaussianState, hbar: float):
     return c0, cp, cq, cpp, cpq, cqq
 
 
-def _pair_terms(state: Superposition):
-    """Amplitude products and chord exponent coefficients, fixed (n, m) order."""
-    out = []
-    for an, gn in state.terms:
-        for am, gm in state.terms:
-            out.append((np.conj(an) * am, _pair_quadratic(gn, gm, state.hbar)))
-    return out
+def gaussian_sum(terms, x_p, x_q) -> np.ndarray:
+    """sum_k mu_k exp(c0_k + b_k.x + x.C_k x) for terms (mu, c0, b, C).
 
-
-def pair_exponents(state: Superposition):
-    """Chord terms as (mu, c0, b, C): term = mu * exp(c0 + b.xi + xi.C.xi).
-
-    Downstream Gaussian algebra (Fourier transforms, convolutions) runs on
-    this representation.
+    At a single point (0-d x_p and x_q) this is one exp over all K terms;
+    on arrays of any broadcastable shape the terms are summed one by one,
+    which keeps the memory at one array of the output's size.
     """
-    out = []
-    for mu, (c0, cp, cq, cpp, cpq, cqq) in _pair_terms(state):
-        bvec = np.array([cp, cq], dtype=complex)
-        cmat = np.array([[cpp, 0.5 * cpq], [0.5 * cpq, cqq]], dtype=complex)
-        out.append((mu, c0, bvec, cmat))
-    return out
+    x_p = np.asarray(x_p, dtype=float)
+    x_q = np.asarray(x_q, dtype=float)
+    if x_p.ndim == x_q.ndim == 0:
+        exponents, _ = _point_exponents(terms, np.array([x_p, x_q]))
+        return np.asarray(terms[0] @ np.exp(exponents))
+    return _dense_values(terms, x_p, x_q)
 
 
-def _eval_terms(terms, xi_p, xi_q):
-    total = np.zeros(np.broadcast(xi_p, xi_q).shape, dtype=complex)
-    for mu, (c0, cp, cq, cpp, cpq, cqq) in terms:
-        if mu == 0:
-            continue
-        total += mu * np.exp(c0 + cp * xi_p + cq * xi_q
-                             + cpp * xi_p * xi_p + cpq * xi_p * xi_q + cqq * xi_q * xi_q)
+def _point_exponents(terms, x: np.ndarray):
+    """The exponents c0_k + b_k.x + x.C_k x of all terms at one point x, and C_k x."""
+    _, c0, b, c = terms
+    cx = c @ x
+    return c0 + (b + cx) @ x, cx
+
+
+def _dense_values(terms, x_p: np.ndarray, x_q: np.ndarray) -> np.ndarray:
+    """sum_k term by term on any broadcastable x_p, x_q."""
+    total = np.zeros(np.broadcast(x_p, x_q).shape, dtype=complex)
+    for mu, c0, b, c in zip(*terms):
+        total += mu * np.exp(c0 + b[0] * x_p + b[1] * x_q
+                             + c[0, 0] * x_p * x_p + 2.0 * c[0, 1] * x_p * x_q
+                             + c[1, 1] * x_q * x_q)
     return total
 
 
 def chord_values(state: Superposition, xi_p, xi_q) -> np.ndarray:
-    """chi(xi) on arrays of chord components (no normalization check)."""
-    return _eval_terms(_pair_terms(state), np.asarray(xi_p, dtype=float),
-                       np.asarray(xi_q, dtype=float))
+    """chi(xi) at a point or on arrays of chord components (no normalization
+    check), from the state's cached pair terms."""
+    return gaussian_sum(state.chord_terms, xi_p, xi_q)
 
 
 def state_norm_squared(state: Superposition) -> float:
     """<Psi|Psi> including every pairwise coherent-state overlap."""
-    val = complex(_eval_terms(_pair_terms(state), np.array(0.0), np.array(0.0)))
-    return float(val.real)
+    mu, c0, _, _ = state.chord_terms
+    return float((mu @ np.exp(c0)).real)
 
 
 def require_normalized(state: Superposition, tol: float = NORMALIZATION_TOL) -> None:
@@ -150,12 +178,8 @@ def overlap(bra: Superposition, ket: Superposition) -> complex:
     """<bra|ket> for two superpositions at the same hbar."""
     if abs(bra.hbar - ket.hbar) > 1e-15 * max(bra.hbar, ket.hbar):
         raise ValueError("states live at different hbar")
-    total = 0.0 + 0.0j
-    for an, gn in bra.terms:
-        for am, gm in ket.terms:
-            c0, *_ = _pair_quadratic(gn, gm, bra.hbar)
-            total += np.conj(an) * am * np.exp(c0)
-    return complex(total)
+    mu, c0, _, _ = pair_arrays(bra.terms, ket.terms, bra.hbar)
+    return complex(mu @ np.exp(c0))
 
 
 def chord_exact(state: Superposition, xi) -> complex:
@@ -166,18 +190,11 @@ def chord_exact(state: Superposition, xi) -> complex:
 
 
 def chord_gradient(state: Superposition, xi) -> np.ndarray:
-    """Analytic (d chi/d xi_p, d chi/d xi_q); shares coefficients with chord_exact."""
-    xi = as_phase_vector(xi, "xi")
-    xp, xq = xi
-    dp = 0.0 + 0.0j
-    dq = 0.0 + 0.0j
-    for mu, (c0, cp, cq, cpp, cpq, cqq) in _pair_terms(state):
-        if mu == 0:
-            continue
-        val = mu * np.exp(c0 + cp * xp + cq * xq + cpp * xp * xp + cpq * xp * xq + cqq * xq * xq)
-        dp += val * (cp + 2.0 * cpp * xp + cpq * xq)
-        dq += val * (cq + cpq * xp + 2.0 * cqq * xq)
-    return np.array([dp, dq], dtype=complex)
+    """Analytic (d chi/d xi_p, d chi/d xi_q) from the same single exp over the
+    cached pair terms as chord_values at a point."""
+    mu, _, b, _ = terms = state.chord_terms
+    exponents, cx = _point_exponents(terms, as_phase_vector(xi, "xi"))
+    return (mu * np.exp(exponents)) @ (b + 2.0 * cx)
 
 
 def correlation_pure(state: Superposition, xi) -> float:
@@ -187,11 +204,10 @@ def correlation_pure(state: Superposition, xi) -> float:
 
 def wigner_values(state: Superposition, x_p, x_q) -> np.ndarray:
     """Complex-assembled Wigner samples (imaginary part is roundoff residue)."""
-    terms = []
-    for an, gn in state.terms:
-        for am, gm in state.terms:
-            terms.append((np.conj(an) * am, _pair_wigner_quadratic(gn, gm, state.hbar)))
-    return _eval_terms(terms, np.asarray(x_p, dtype=float), np.asarray(x_q, dtype=float))
+    rows = [(np.conj(an) * am, *_pair_wigner_quadratic(gn, gm, state.hbar))
+            for an, gn in state.terms for am, gm in state.terms]
+    terms = _gaussian_terms(*(np.array(column) for column in zip(*rows)))
+    return gaussian_sum(terms, x_p, x_q)
 
 
 def wigner_exact(state: Superposition, x) -> float:
@@ -211,17 +227,14 @@ def chord_mixture(ens: MixedEnsemble, xi) -> complex:
     product is exactly the diagonal pair term of the member.
     """
     xi = as_phase_vector(xi, "xi")
-    total = 0.0 + 0.0j
-    for w, g in ens.terms:
-        c0, cp, cq, cpp, cpq, cqq = _pair_quadratic(g, g, ens.hbar)
-        total += w * np.exp(c0 + cp * xi[0] + cq * xi[1]
-                            + cpp * xi[0] ** 2 + cpq * xi[0] * xi[1] + cqq * xi[1] ** 2)
-    return complex(total)
+    return complex(chord_mixture_values(ens, xi[0], xi[1]))
 
 
 def chord_mixture_values(ens: MixedEnsemble, xi_p, xi_q) -> np.ndarray:
-    terms = [(w + 0.0j, _pair_quadratic(g, g, ens.hbar)) for w, g in ens.terms]
-    return _eval_terms(terms, np.asarray(xi_p, dtype=float), np.asarray(xi_q, dtype=float))
+    """chord_mixture at a point or on arrays of chord components."""
+    diagonal = [pair_arrays(((w, g),), ((1.0, g),), ens.hbar) for w, g in ens.terms]
+    terms = tuple(np.concatenate(column) for column in zip(*diagonal))
+    return gaussian_sum(terms, xi_p, xi_q)
 
 
 # -- quadrature oracle ---------------------------------------------------------

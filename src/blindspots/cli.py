@@ -78,6 +78,13 @@ def _int_pair(v) -> tuple:
     return int(v[0]), int(v[1])
 
 
+def _vector(v) -> np.ndarray:
+    out = np.asarray(v, dtype=float)
+    if out.shape != (2,):
+        raise ValueError(f"expected two numbers, got {v!r}")
+    return out
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r") as fh:
@@ -130,16 +137,20 @@ def _lindblad_from_config(cfg: dict) -> LindbladModel:
     if block is None:
         raise ConfigError("this subcommand needs a 'lindblad' block")
     _require_keys(block, {"h", "couplings"}, "lindblad")
-    h = block.get("h", [[0.0, 0.0], [0.0, 0.0]])
+    h = _read(block, "h", "lindblad", lambda v: np.asarray(v, dtype=float),
+              [[0.0, 0.0], [0.0, 0.0]])
     couplings = []
-    for k, c in enumerate(block.get("couplings", [])):
-        _require_keys(c, {"re", "im"}, f"lindblad.couplings[{k}]")
-        re = np.asarray(c.get("re", [0.0, 0.0]), dtype=float)
-        im = np.asarray(c.get("im", [0.0, 0.0]), dtype=float)
+    for k, c in enumerate(_read(block, "couplings", "lindblad", list, [])):
+        where = f"lindblad.couplings[{k}]"
+        if not isinstance(c, dict):
+            raise ConfigError(f"bad {where}: {c!r}")
+        _require_keys(c, {"re", "im"}, where)
+        re = _read(c, "re", where, _vector, [0.0, 0.0])
+        im = _read(c, "im", where, _vector, [0.0, 0.0])
         couplings.append(re + 1j * im)
     if not couplings:
         raise ConfigError("lindblad block needs at least one coupling")
-    return LindbladModel(np.asarray(h, dtype=float), tuple(couplings))
+    return LindbladModel(h, tuple(couplings))
 
 
 def _window_from(block: dict, key: str = "window"):
@@ -312,11 +323,12 @@ def cmd_decohere(cfg: dict, out: IO[str], threads: int) -> int:
     for key in ("line", "s_range", "n_samples", "times"):
         if key not in block:
             raise ConfigError(f"decohere block needs '{key}'")
-    line_block = block["line"]
+    line_block = _read(block, "line", "decohere", dict)
     _require_keys(line_block, {"point", "direction"}, "decohere.line")
-    point = np.asarray(line_block["point"], dtype=float)
-    direction = np.asarray(line_block["direction"], dtype=float)
+    point = _read(line_block, "point", "decohere.line", _vector)
+    direction = _read(line_block, "direction", "decohere.line", _vector)
     direction = direction / np.hypot(*direction)
+    spot_cfg = _read(block, "spot", "decohere", lambda v: None if v is None else _vector(v))
     times = _read(block, "times", "decohere", lambda v: [float(t) for t in v])
     s_range = _read(block, "s_range", "decohere", lambda v: (float(v[0]), float(v[1])))
     n_samples = _read(block, "n_samples", "decohere", int)
@@ -330,9 +342,7 @@ def cmd_decohere(cfg: dict, out: IO[str], threads: int) -> int:
 
     want_summary = block.get("summary", True) and len(state) == 3
     if want_summary and len(times) > 1 and times[0] == 0.0:
-        spot_cfg = block.get("spot")
-        spot = (np.asarray(spot_cfg, dtype=float) if spot_cfg is not None
-                else _auto_line_spot(state, point, direction))
+        spot = spot_cfg if spot_cfg is not None else _auto_line_spot(state, point, direction)
         lift = lifting_time(series, spot, _read(block, "epsilon", "decohere", float, 1e-3))
         t_p = positivity_time(state, model,
                               t_max=_read(block, "t_max", "decohere",
@@ -378,10 +388,13 @@ def cmd_invert(cfg: dict, out: IO[str], threads: int) -> int:
 
     measured = []
     for k, sp in enumerate(spots_cfg):
-        _require_keys(sp, {"xi", "k"}, f"invert.spots[{k}]")
+        where = f"invert.spots[{k}]"
+        if not isinstance(sp, dict):
+            raise ConfigError(f"bad {where}: {sp!r}")
+        _require_keys(sp, {"xi", "k"}, where)
         if "xi" not in sp or "k" not in sp:
-            raise ConfigError(f"invert.spots[{k}] needs 'xi' and 'k'")
-        measured.append((np.asarray(sp["xi"], dtype=float), int(sp["k"][0]), int(sp["k"][1])))
+            raise ConfigError(f"{where} needs 'xi' and 'k'")
+        measured.append((_read(sp, "xi", where, _vector), *_read(sp, "k", where, _int_pair)))
 
     eta1, eta2 = recover_centers(angles, measured[0], measured[1], float(cfg["hbar"]))
     lines = _meta_lines(cfg, "invert")

@@ -40,7 +40,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .chord import chord_gradient, chord_values, pair_exponents, require_normalized
+from .chord import chord_gradient, chord_values, gaussian_sum, require_normalized
 from .fields import FieldGrid, fourier_2d, grid_axes, require_adequate
 from .geometry import J, as_phase_vector, skew
 from .states import Superposition
@@ -242,25 +242,19 @@ def evolved_chord_gradient(state: Superposition, model: LindbladModel, xi,
     return grad_u * g + chi_u * grad_g
 
 
-def _evolved_chord_grid_values(state: Superposition, model: LindbladModel,
-                               window, shape, t: float) -> np.ndarray:
-    ap, aq = grid_axes(window, shape)
-    r_back = propagator_matrix(model.hamiltonian, -t)
-    zp = r_back[0, 0] * ap[:, None] + r_back[0, 1] * aq[None, :]
-    zq = r_back[1, 0] * ap[:, None] + r_back[1, 1] * aq[None, :]
-    chi_u = chord_values(state, zp, zq)
-    gauss = decoherence_matrix(model, t, hbar=state.hbar)
-    return chi_u * gauss.factor(ap[:, None], aq[None, :])
-
-
 def evolved_chord_grid(state: Superposition, model: LindbladModel, window, shape,
                        t: float) -> FieldGrid:
     _require_nondissipative(model)
     if t < 0:
         raise NegativeTime(f"t = {t}")
     require_normalized(state)
-    vals = _evolved_chord_grid_values(state, model, window, shape, t)
-    return FieldGrid(window, shape, vals, "chord")
+    ap, aq = grid_axes(window, shape)
+    r_back = propagator_matrix(model.hamiltonian, -t)
+    zp = r_back[0, 0] * ap[:, None] + r_back[0, 1] * aq[None, :]
+    zq = r_back[1, 0] * ap[:, None] + r_back[1, 1] * aq[None, :]
+    chi_u = chord_values(state, zp, zq)
+    gauss = decoherence_matrix(model, t, hbar=state.hbar)
+    return FieldGrid(window, shape, chi_u * gauss.factor(ap[:, None], aq[None, :]), "chord")
 
 
 def evolved_correlation(state: Superposition, model: LindbladModel, window, shape,
@@ -280,10 +274,10 @@ def evolved_correlation(state: Superposition, model: LindbladModel, window, shap
 # -- closed-form Gaussian algebra ----------------------------------------------
 
 def _unitary_pair_terms(state: Superposition, model: LindbladModel, t: float):
-    """Chord pair exponents transported by the classical flow R_{-t}, as arrays
-    (mu[K], c0[K], b[K, 2], C[K, 2, 2])."""
+    """The state's cached chord pair terms (mu[K], c0[K], b[K, 2], C[K, 2, 2])
+    transported by the classical flow R_{-t}."""
     r_back = propagator_matrix(model.hamiltonian, -t)
-    mu, c0, b, c = (np.array(column) for column in zip(*pair_exponents(state)))
+    mu, c0, b, c = state.chord_terms
     return mu, c0, b @ r_back, r_back.T @ c @ r_back
 
 
@@ -333,7 +327,7 @@ def correlation_evolved_points(state: Superposition, model: LindbladModel,
     terms = (mu / np.sqrt(det), c0 + 0.5 * np.sum(b * gb, axis=1),
              b + 2.0 * (c @ gb[:, :, None])[:, :, 0],
              0.5 * (c_folded + c_folded.swapaxes(1, 2)))
-    total = _dense_values(terms, pts[:, 0], pts[:, 1])
+    total = gaussian_sum(terms, pts[:, 0], pts[:, 1])
 
     if np.max(np.abs(total.imag)) > 1e-9 * max(1.0, np.max(np.abs(total))):
         raise NumericalError("evolved correlation left an imaginary part")
@@ -348,8 +342,6 @@ def _wigner_terms(state: Superposition, model: LindbladModel, t: float):
     gauss = decoherence_matrix(model, t, hbar=h)
     log_pref = math.log(math.pi) - 2.0 * math.log(2.0 * math.pi * h)
     mu, c0, b, cmat = _unitary_pair_terms(state, model, t)
-    keep = mu != 0
-    mu, c0, b, cmat = mu[keep], c0[keep], b[keep], cmat[keep]
     cc = cmat - gauss.m / h
     cinv = np.linalg.inv(cc)
     cinv = 0.5 * (cinv + cinv.swapaxes(1, 2))
@@ -379,16 +371,6 @@ def _separable_values(terms, x_p: np.ndarray, x_q: np.ndarray) -> np.ndarray:
     return (f * (mu * np.exp(c0 + top_p + top_q))) @ g.T
 
 
-def _dense_values(terms, x_p: np.ndarray, x_q: np.ndarray) -> np.ndarray:
-    """sum_k term by term on any broadcastable x_p, x_q."""
-    total = np.zeros(np.broadcast(x_p, x_q).shape, dtype=complex)
-    for mu, c0, b, c in zip(*terms):
-        total += mu * np.exp(c0 + b[0] * x_p + b[1] * x_q
-                             + c[0, 0] * x_p * x_p + 2.0 * c[0, 1] * x_p * x_q
-                             + c[1, 1] * x_q * x_q)
-    return total
-
-
 def wigner_evolved_values(state: Superposition, model: LindbladModel,
                           x_p, x_q, t: float) -> np.ndarray:
     """W_t(x): symplectic Fourier conjugate of chi_t, term-exact.
@@ -410,7 +392,7 @@ def wigner_evolved_values(state: Superposition, model: LindbladModel,
              and x_p.size > 0 and x_q.size > 0)
     if outer and not np.any(terms[3][:, 0, 1]):
         return _separable_values(terms, x_p[:, 0], x_q[0])
-    return _dense_values(terms, x_p, x_q)
+    return gaussian_sum(terms, x_p, x_q)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ exp(i skew(eta, xi)/hbar) exp(-xi^2 / 4 hbar) (validated in the tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -35,14 +36,22 @@ _IDENTITY = np.eye(2)
 
 @dataclass(frozen=True)
 class GaussianState:
-    """One generalized coherent state: center (p, q) and symplectic frame."""
+    """One generalized coherent state: center (p, q) and symplectic frame.
+
+    Both are stored as read-only copies, so that neither the caller's arrays
+    nor writes through the attributes can change a state after it is built
+    (superpositions cache terms derived from them).
+    """
 
     center: np.ndarray
-    frame: np.ndarray = field(default_factory=lambda: _IDENTITY.copy())
+    frame: np.ndarray = field(default_factory=lambda: _IDENTITY)
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_phase_vector(self.center, "center"))
-        object.__setattr__(self, "frame", check_symplectic(self.frame))
+        for name, value in (("center", as_phase_vector(self.center, "center")),
+                            ("frame", check_symplectic(self.frame))):
+            value = value.copy()
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def width(self) -> complex:
@@ -54,7 +63,7 @@ class GaussianState:
 class Superposition:
     """Pure state sum_n a_n |eta_n; S_n> at a fixed hbar.
 
-    Treat instances as immutable; every operation returns a new state.
+    Instances are immutable; every operation returns a new state.
     """
 
     hbar: float
@@ -79,9 +88,20 @@ class Superposition:
     def from_centers(cls, hbar: float, amplitudes: Iterable[complex],
                      centers: Iterable, frame=None) -> "Superposition":
         """Build from parallel amplitude/center lists, identity frames by default."""
-        f = _IDENTITY if frame is None else np.asarray(frame, dtype=float)
-        return cls(hbar, tuple((a, GaussianState(c, f.copy()))
-                               for a, c in zip(amplitudes, centers)))
+        f = _IDENTITY if frame is None else frame
+        return cls(hbar, tuple((a, GaussianState(c, f)) for a, c in zip(amplitudes, centers)))
+
+    @cached_property
+    def chord_terms(self):
+        """Chord pair terms (mu[K], c0[K], b[K, 2], C[K, 2, 2]) of all bra/ket
+        pairs, chi(xi) = sum_k mu_k exp(c0_k + b_k.xi + xi.C_k xi), built once
+        per state and read-only."""
+        from .chord import pair_arrays
+
+        terms = pair_arrays(self.terms, self.terms, self.hbar)
+        for column in terms:
+            column.setflags(write=False)
+        return terms
 
     @property
     def amplitudes(self) -> np.ndarray:

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blindspots import (
     BadQuadrature,
+    GaussianState,
     MixedEnsemble,
     NotNormalized,
     Superposition,
@@ -18,7 +22,7 @@ from blindspots import (
     wigner_values,
 )
 from blindspots.chord import chord_gradient
-from blindspots.spots import DiffractionModel, small_chord
+from blindspots.spots import DiffractionModel, newton_refine, small_chord
 from conftest import HBAR, random_identity_state
 
 
@@ -177,3 +181,64 @@ def test_wigner_autocorrelation_reproduces_chord_squared(compact_triplet):
         w_shift = wigner_values(compact_triplet, ax[:, None] - xi[0], ax[None, :] - xi[1]).real
         corr = 2 * np.pi * HBAR * np.sum(w * w_shift) * step * step
         assert corr == pytest.approx(correlation_pure(compact_triplet, xi), abs=1e-5)
+
+
+def squeezed_frame(r, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]]) @ np.diag([math.exp(r), math.exp(-r)])
+
+
+@st.composite
+def states_and_chords(draw):
+    """A normalized state of up to 6 squeezed and rotated terms, and a chord
+    within +-3 sqrt(hbar) of the origin."""
+    hbar = draw(st.floats(1e-2, 1.0))
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        amp = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        center = (draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)))
+        frame = squeezed_frame(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, math.pi)))
+        terms.append((amp, GaussianState(center, frame)))
+    reach = 3.0 * math.sqrt(hbar)
+    xi = np.array([draw(st.floats(-reach, reach)), draw(st.floats(-reach, reach))])
+    return normalize(Superposition(hbar, tuple(terms))), xi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(states_and_chords())
+def test_chord_array_core_properties(case):
+    state, xi = case
+    # rounding of a sum of K terms scales with the sum of their weights
+    scale = float(np.sum(np.abs(state.chord_terms[0])))
+    assert abs(complex(chord_values(state, 0.0, 0.0)) - 1.0) < 1e-12 * scale
+
+    chi = complex(chord_values(state, xi[0], xi[1]))
+    assert abs(complex(chord_values(state, -xi[0], -xi[1])) - np.conj(chi)) < 1e-13 * scale
+    assert abs(chi) <= 1.0 + 1e-12
+
+    # the single-point path against the term-by-term array path
+    on_array = chord_values(state, np.array([xi[0]]), np.array([xi[1]]))[0]
+    assert abs(chi - on_array) < 1e-14 * scale
+
+    e = 1e-6 * math.sqrt(state.hbar)
+    g = chord_gradient(state, xi)
+    for k in range(2):
+        step = np.eye(2)[k] * e
+        fd = (complex(chord_values(state, *(xi + step)))
+              - complex(chord_values(state, *(xi - step)))) / (2 * e)
+        assert abs(g[k] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def test_zero_amplitude_terms_change_nothing(compact_triplet):
+    # a far-away term builds exponents that overflow to inf and NaN; only
+    # dropping its zero-weight pairs keeps them out of every sum
+    extra = ((0.0, GaussianState((3.0, -2.0), squeezed_frame(0.5, 0.3))),
+             (0.0, GaussianState((0.0, 1e155))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        padded = Superposition(HBAR, compact_triplet.terms + extra)
+        xi = np.array([0.21, -0.34])
+        assert chord_values(padded, xi[0], xi[1]) == chord_values(compact_triplet, xi[0], xi[1])
+        assert np.array_equal(chord_gradient(padded, xi), chord_gradient(compact_triplet, xi))
+        seed = np.array([0.2, 0.1])
+        assert np.array_equal(newton_refine(padded, seed).xi,
+                              newton_refine(compact_triplet, seed).xi)

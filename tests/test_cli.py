@@ -250,6 +250,9 @@ def valid_config(subcommand):
         cfg["decohere"] = {"line": {"point": [0.0, 0.0], "direction": [1.0, 0.0]},
                            "s_range": [-0.3, 0.3], "n_samples": 11, "times": [0.0],
                            "summary": False}
+    elif subcommand == "invert":
+        cfg["invert"] = {"spots": [{"xi": [0.3, 0.1], "k": [0, 0]},
+                                   {"xi": [0.1, 0.4], "k": [1, 0]}]}
     else:
         cfg["spots"] = {"k_range": [[-1, 1], [-1, 1]]}
     return cfg
@@ -261,14 +264,23 @@ def valid_config(subcommand):
     ("decohere", "n_samples", "x"),
     ("decohere", "s_range", 0.1),
     ("spots", "k_range", 5),
+    ("decohere", "line", {"direction": [1.0, 0.0]}),
+    ("decohere", "spot", "x"),
+    ("decohere", "lindblad.couplings", [{"re": "x"}]),
+    ("decohere", "lindblad.couplings", 5),
+    ("invert", "spots", [{"xi": "x", "k": [0, 0]}, {"xi": [0.1, 0.4], "k": [1, 0]}]),
+    ("invert", "spots", [{"xi": [0.3, 0.1], "k": 3}, {"xi": [0.1, 0.4], "k": [1, 0]}]),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, subcommand, key, value):
+    # a dotted key names its block; a plain one sits in the subcommand's block
+    where = key if "." in key else f"{subcommand}.{key}"
+    block, name = where.split(".")
     cfg = valid_config(subcommand)
     path = write_config(tmp_path, "ok.json", cfg)
     assert main([subcommand, path, "--out", str(tmp_path / "ok.csv")]) == 0
-    cfg[subcommand][key] = value
+    cfg[block][name] = value
     path = write_config(tmp_path, "bad.json", cfg)
     assert main([subcommand, path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: bad {subcommand}.{key}")
+    assert captured.err.startswith(f"error: bad {where}")

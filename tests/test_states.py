@@ -26,6 +26,20 @@ def test_gaussian_state_rejects_nonsymplectic_frame():
         GaussianState((0, 0), [[1.1, 0], [0, 1.0]])
 
 
+def test_gaussian_state_keeps_its_own_read_only_arrays():
+    center = np.array([0.3, -0.2])
+    frame = np.array([[2.0, 0.0], [0.3, 0.5]])
+    g = GaussianState(center, frame)
+    state = normalize(Superposition(HBAR, ((1.0, g), (0.7j, GaussianState((1.0, 0.4))))))
+    before = complex(chord_values(state, 0.2, -0.1))
+    center[0] = 9.0
+    frame[:] = np.eye(2)
+    assert complex(chord_values(state, 0.2, -0.1)) == before
+    for array in (g.center, g.frame):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
 def test_superposition_validation():
     with pytest.raises(ValidationError):
         Superposition(-1.0, ((1.0, GaussianState((0, 0))),))
