@@ -1,5 +1,11 @@
 """Phase-space correlations, blind spots and decoherence timescales of
-superpositions of generalized coherent states."""
+superpositions of generalized coherent states.
+
+Diagnostics go to the "blindspots" logger as DEBUG records; it has a
+NullHandler, so nothing is printed unless the application configures logging.
+"""
+
+import logging
 
 from .errors import (
     BadQuadrature,
@@ -97,3 +103,5 @@ from .decoherence import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

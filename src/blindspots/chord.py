@@ -125,16 +125,24 @@ def gaussian_sum(terms, x_p, x_q) -> np.ndarray:
     x_p = np.asarray(x_p, dtype=float)
     x_q = np.asarray(x_q, dtype=float)
     if x_p.ndim == x_q.ndim == 0:
-        exponents, _ = _point_exponents(terms, np.array([x_p, x_q]))
+        exponents, _ = point_exponents(terms, np.array([x_p, x_q]))
         return np.asarray(terms[0] @ np.exp(exponents))
     return _dense_values(terms, x_p, x_q)
 
 
-def _point_exponents(terms, x: np.ndarray):
+def point_exponents(terms, x: np.ndarray):
     """The exponents c0_k + b_k.x + x.C_k x of all terms at one point x, and C_k x."""
     _, c0, b, c = terms
     cx = c @ x
     return c0 + (b + cx) @ x, cx
+
+
+def gaussian_gradient(terms, x: np.ndarray) -> np.ndarray:
+    """(d/dx_p, d/dx_q) of gaussian_sum(terms, x) at one point x, from one exp
+    over the terms."""
+    mu, _, b, _ = terms
+    exponents, cx = point_exponents(terms, x)
+    return (mu * np.exp(exponents)) @ (b + 2.0 * cx)
 
 
 def _dense_values(terms, x_p: np.ndarray, x_q: np.ndarray) -> np.ndarray:
@@ -192,9 +200,7 @@ def chord_exact(state: Superposition, xi) -> complex:
 def chord_gradient(state: Superposition, xi) -> np.ndarray:
     """Analytic (d chi/d xi_p, d chi/d xi_q) from the same single exp over the
     cached pair terms as chord_values at a point."""
-    mu, _, b, _ = terms = state.chord_terms
-    exponents, cx = _point_exponents(terms, as_phase_vector(xi, "xi"))
-    return (mu * np.exp(exponents)) @ (b + 2.0 * cx)
+    return gaussian_gradient(state.chord_terms, as_phase_vector(xi, "xi"))
 
 
 def correlation_pure(state: Superposition, xi) -> float:

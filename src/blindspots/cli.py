@@ -59,6 +59,8 @@ def _fmt(x: float) -> str:
 
 
 def _require_keys(block: dict, allowed: set, where: str):
+    if not isinstance(block, dict):
+        raise ConfigError(f"bad {where}: {block!r}")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -107,7 +109,7 @@ def _complex_amplitude(a) -> complex:
         return complex(a)
     if isinstance(a, (list, tuple)) and len(a) == 2:
         return complex(float(a[0]), float(a[1]))
-    raise ConfigError(f"amplitude must be a number or [re, im], got {a!r}")
+    raise ValueError(f"amplitude must be a number or [re, im], got {a!r}")
 
 
 def _state_from_config(cfg: dict) -> Superposition:
@@ -120,15 +122,15 @@ def _state_from_config(cfg: dict) -> Superposition:
         raise ConfigError("'states' must be a non-empty list")
     terms = []
     for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"states[{k}] must be an object")
-        _require_keys(entry, {"amplitude", "center", "frame"}, f"states[{k}]")
+        where = f"states[{k}]"
+        _require_keys(entry, {"amplitude", "center", "frame"}, where)
         if "amplitude" not in entry or "center" not in entry:
-            raise ConfigError(f"states[{k}] needs 'amplitude' and 'center'")
-        amp = _complex_amplitude(entry["amplitude"])
-        frame = entry.get("frame")
-        g = GaussianState(entry["center"]) if frame is None else GaussianState(entry["center"], frame)
-        terms.append((amp, g))
+            raise ConfigError(f"{where} needs 'amplitude' and 'center'")
+        amp = _read(entry, "amplitude", where, _complex_amplitude)
+        center = _read(entry, "center", where, _vector)
+        frame = _read(entry, "frame", where,
+                      lambda v: np.eye(2) if v is None else np.asarray(v, dtype=float))
+        terms.append((amp, GaussianState(center, frame)))
     return normalize(Superposition(hbar, tuple(terms)))
 
 

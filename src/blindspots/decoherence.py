@@ -25,6 +25,7 @@ rank-K matrix product.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -36,16 +37,29 @@ from .errors import (
     NegativeTime,
     NeverLifted,
     NeverPositive,
+    NoConvergence,
     NoMinimum,
+    NotSymplectic,
     NumericalError,
+    SingularJacobian,
     ValidationError,
 )
-from .chord import chord_gradient, chord_values, gaussian_sum, require_normalized
+from .chord import (
+    chord_gradient,
+    chord_values,
+    gaussian_sum,
+    pair_arrays,
+    point_exponents,
+    require_normalized,
+)
 from .fields import FieldGrid, fourier_2d, grid_axes, require_adequate
 from .geometry import J, as_phase_vector, skew
-from .states import Superposition
+from .spots import newton_zero
+from .states import GaussianState, Superposition, apply_symplectic
 
 ALPHA_TOL = 1e-12
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -614,27 +628,114 @@ def _interference_damping_time(state: Superposition, model: LindbladModel) -> fl
     return -2.0 * math.log(np.finfo(float).eps) / min(positive)
 
 
+# Certified only if W < -margin * sum_k |term_k| (1 + |E_k|): far above the
+# round-off eps |E_k| of each term, far below the negativity that a step of
+# 1e-3 back from t_H leaves at a Husimi zero (4e-6 of that sum or more on
+# triplets, cats and a 6-term state, with and without H).
+_CERTIFICATE_MARGIN = 1e-9
+
+
+def _husimi_probe(m: np.ndarray) -> GaussianState:
+    """The centred Gaussian state whose chord function is exp(-xi . M xi / hbar),
+    for det 4M = 1 (rescaled to it against round-off): its frame F has
+    F F^T = P = (4M)^{-1}, and F = (P + I) / sqrt(tr P + 2) is the symmetric
+    square root of a unit-determinant P."""
+    g = 4.0 * m / math.sqrt(np.linalg.det(4.0 * m))
+    p = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    return GaussianState(np.zeros(2), (p + np.eye(2)) / math.sqrt(np.trace(p) + 2.0))
+
+
+def _pair_zero_seeds(terms):
+    """Zeros of each two-term sum mu_i e^{E_i} + mu_j e^{E_j} with the quadratic
+    parts of the exponents dropped: Delta c0 + Delta b . x = log(-mu_j / mu_i)
+    + 2 pi i k, one real 2x2 system per pair and winding k = 0, -1, 1, k-major."""
+    mu, c0, b, _ = terms
+    i, j = np.triu_indices(len(mu), 1)
+    db = b[i] - b[j]
+    a = np.stack([db.real, db.imag], axis=1)
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    regular = np.abs(det) > 1e-12 * np.max(np.abs(a), axis=(1, 2)) ** 2
+    a = a[regular]
+    rhs = (np.log(-mu[j] / mu[i]) - (c0[i] - c0[j]))[regular]
+    seeds = []
+    for k in (0, -1, 1):
+        r = rhs + 2j * math.pi * k
+        seeds.extend(np.linalg.solve(a, np.stack([r.real, r.imag], axis=1)[:, :, None])[:, :, 0])
+    return seeds
+
+
+def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: float,
+                        rel_precision: float):
+    """(x*, W, term scale) with W_t(x*) < 0 at t = (1 - rel_precision) t_H, or None.
+
+    chi_t = chi_Q exp(+xi . (M_{t_H} - M_t) xi / hbar), where M_{t_H} - M_t is
+    positive semidefinite and chi_Q is the chord function of Q, the Husimi
+    function of the unitarily moved state R_t psi for the probe Gaussian of
+    chord matrix -M_{t_H} / hbar.  Q(x) is proportional to |f(x)|^2 with
+    f(x) = <probe| T_{-x} |R_t psi>, a sum of N Gaussians.  At a zero x* of f,
+    Q has its minimum 0, and the sharpening makes W_t(x*) negative.  Seeds are
+    the two-term zeros of f, refined by newton_zero; the first whose W_t(x*)
+    is negative by more than round-off is returned.
+    """
+    h = state.hbar
+    t = (1.0 - rel_precision) * t_husimi
+    try:
+        probe = _husimi_probe(decoherence_matrix(model, t_husimi, hbar=h).m)
+        moved = apply_symplectic(state, propagator_matrix(model.hamiltonian, t))
+    except NotSymplectic:
+        return None
+    mu, c0, b, c = amplitude = pair_arrays(((1.0, probe),), moved.terms, h)
+    w_terms = _wigner_terms(state, model, t)
+    for seed in _pair_zero_seeds(amplitude):
+        # the largest term is 1 at the seed, so that tol is relative
+        top = point_exponents(amplitude, seed)[0].real.max()
+        try:
+            x = newton_zero((mu, c0 - top, b, c), seed, 1e-12, 50, 5.0 * math.sqrt(h)).xi
+        except (NoConvergence, SingularJacobian):
+            continue
+        exponents, _ = point_exponents(w_terms, x)
+        values = w_terms[0] * np.exp(exponents)
+        w = float(values.sum().real)
+        if w < -_CERTIFICATE_MARGIN * float(np.abs(values) @ (1.0 + np.abs(exponents))):
+            return x, w, float(np.abs(values).sum())
+    return None
+
+
 def positivity_time(state: Superposition, model: LindbladModel, window=None,
                     shape=None, t_max: float | None = None, tol: float = 0.0,
                     rel_precision: float = 1e-3) -> float:
-    """Earliest t with W_t >= 0, bisected to rel_precision relative.
+    """Earliest t with W_t >= 0, to rel_precision relative.
 
-    W_t is the term-exact Fourier conjugate of chi_t sampled on a grid
-    covering the state; positivity is the sign of min W_t + tol * max W_t,
-    with grid extrema refined parabolically, so the default tol = 0 is a
-    plain sign test.  The automatic upper bracket is the Husimi bound
-    husimi_time(model): from there on W_t >= 0 is a theorem, so it is not
+    The automatic upper bracket is the Husimi bound t_H = husimi_time(model):
+    from there on W_t >= 0 is a theorem.  Every non-Gaussian pure state has
+    t_p = t_H, since W_{t_H} is a Husimi function and those have zeros; so
+    when tol = 0, t_H is finite and t_max does not cut below it, t_H is
+    returned as soon as one point x* shows W_t(x*) < 0 at
+    t = (1 - rel_precision) t_H (_husimi_certificate), without a grid.
+    Otherwise, or when no point is certified, W_t, the term-exact Fourier
+    conjugate of chi_t, is sampled on a grid covering the state (window,
+    shape) and positivity is the sign of min W_t + tol * max W_t, with grid
+    extrema refined parabolically, bisected in t; the bracket end t_H is not
     evaluated (W_t has exact zeros there, which round-off can turn negative).
-    A t_max below the bound must give W_t >= 0 or NeverPositive is raised; a
-    larger one is replaced by the bound.  Without a Husimi bound the bracket
-    starts at the time every interference term is damped below round-off and
-    grows up to 8 times by a factor 1.6 before NeverPositive is raised.
+    A t_max below t_H must give W_t >= 0 or NeverPositive is raised; a larger
+    one is replaced by t_H.  Without a Husimi bound the bracket starts at the
+    time every interference term is damped below round-off and grows up to 8
+    times by a factor 1.6 before NeverPositive is raised.  One DEBUG record on
+    the "blindspots" logger says which path ran.
     """
     _require_nondissipative(model)
     require_normalized(state)
     h = state.hbar
 
     t_husimi = husimi_time(model)
+    if tol == 0 and math.isfinite(t_husimi) and (t_max is None or t_max >= t_husimi):
+        found = _husimi_certificate(state, model, t_husimi, rel_precision)
+        if found is not None:
+            x, w, scale = found
+            logger.debug("positivity_time: certificate t_H = %r, x* = (%r, %r), "
+                         "W = %.3e, term scale %.3e", t_husimi, x[0], x[1], w, scale)
+            return t_husimi
+
     grow = 0
     if t_max is not None and t_max < t_husimi:
         hi = float(t_max)
@@ -657,20 +758,27 @@ def positivity_time(state: Superposition, model: LindbladModel, window=None,
         shape = (int(math.ceil((window[0][1] - window[0][0]) / step)) + 1,
                  int(math.ceil((window[1][1] - window[1][0]) / step)) + 1)
 
+    evaluations = 0
+
     def deficit(t: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
         w_min, w_max = _wigner_extrema(state, model, window, shape, t)
         return w_min + tol * w_max
 
     if deficit(0.0) >= 0:
-        return 0.0
-    if hi < t_husimi:
-        while deficit(hi) < 0:
-            if grow == 0:
-                raise NeverPositive(f"Wigner function still negative at t_max = {hi}")
-            hi *= 1.6
-            grow -= 1
-
-    return _bisect_earliest(lambda t: deficit(t) >= 0, 0.0, hi, rel_precision)
+        t_p = 0.0
+    else:
+        if hi < t_husimi:
+            while deficit(hi) < 0:
+                if grow == 0:
+                    raise NeverPositive(f"Wigner function still negative at t_max = {hi}")
+                hi *= 1.6
+                grow -= 1
+        t_p = _bisect_earliest(lambda t: deficit(t) >= 0, 0.0, hi, rel_precision)
+    logger.debug("positivity_time: grid window = %s, shape = %s, %d evaluations",
+                 window, shape, evaluations)
+    return t_p
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     WrongArity,
 )
-from .chord import chord_gradient, chord_values, require_normalized
+from .chord import chord_values, gaussian_gradient, gaussian_sum, require_normalized
 from .fields import FieldGrid
 from .geometry import as_phase_vector, skew
 from .states import Superposition
@@ -212,7 +212,7 @@ def hexagonal_lattice(model: DiffractionModel,
 
 def newton_refine(state: Superposition, seed, tol: float = 1e-12,
                   max_iter: int = 50, max_travel: float | None = None) -> RefinedSpot:
-    """Damped 2-D Newton iteration on (Re chi, Im chi) with analytic Jacobian.
+    """Blind spot near seed: newton_zero on the state's chord pair terms.
 
     max_travel (default 5 sqrt(hbar)) catches iterates escaping down the
     Gaussian envelope: a zero-free chord function decays below any tolerance
@@ -223,19 +223,29 @@ def newton_refine(state: Superposition, seed, tol: float = 1e-12,
         raise ValidationError("tol must be positive")
     if max_travel is None:
         max_travel = 5.0 * math.sqrt(state.hbar)
-    seed = as_phase_vector(seed, "seed")
-    xi = seed.copy()
-    chi = complex(chord_values(state, xi[0], xi[1]))
+    return newton_zero(state.chord_terms, as_phase_vector(seed, "seed"), tol, max_iter,
+                       max_travel)
+
+
+def newton_zero(terms, seed: np.ndarray, tol: float, max_iter: int,
+                max_travel: float) -> RefinedSpot:
+    """Zero of the Gaussian sum f = gaussian_sum(terms, x) near seed: damped 2-D
+    Newton iteration on (Re f, Im f) with analytic Jacobian, stopping at
+    |f| <= tol.  Raises NoConvergence when the iterates stall or travel more
+    than max_travel from the seed, SingularJacobian when the gradient vanishes.
+    """
+    x = seed.copy()
+    f = complex(gaussian_sum(terms, x[0], x[1]))
 
     for it in range(1, max_iter + 1):
-        if abs(chi) <= tol:
-            return RefinedSpot(xi, abs(chi), it - 1, seed)
-        grad = chord_gradient(state, xi)
+        if abs(f) <= tol:
+            return RefinedSpot(x, abs(f), it - 1, seed)
+        grad = gaussian_gradient(terms, x)
         jac = np.array([[grad[0].real, grad[1].real],
                         [grad[0].imag, grad[1].imag]])
         if np.max(np.abs(jac)) < 1e-300:
-            raise SingularJacobian(f"Jacobian vanished at {xi}")
-        rhs = -np.array([chi.real, chi.imag])
+            raise SingularJacobian(f"Jacobian vanished at {x}")
+        rhs = -np.array([f.real, f.imag])
         # least squares: identical to the exact solve when J is regular and a
         # clean minimum-norm step along nodal lines when it is not
         step = np.linalg.lstsq(jac, rhs, rcond=1e-12)[0]
@@ -243,21 +253,21 @@ def newton_refine(state: Superposition, seed, tol: float = 1e-12,
         lam = 1.0
         improved = False
         while lam > 1e-8:
-            cand = xi + lam * step
-            chi_new = complex(chord_values(state, cand[0], cand[1]))
-            if abs(chi_new) < abs(chi):
-                xi, chi = cand, chi_new
+            cand = x + lam * step
+            f_new = complex(gaussian_sum(terms, cand[0], cand[1]))
+            if abs(f_new) < abs(f):
+                x, f = cand, f_new
                 improved = True
                 break
             lam *= 0.5
         if not improved:
             break
-        if np.hypot(*(xi - seed)) > max_travel:
+        if np.hypot(*(x - seed)) > max_travel:
             raise NoConvergence(f"iterates escaped {max_travel} away from seed {seed}")
 
-    if abs(chi) <= tol:
-        return RefinedSpot(xi, abs(chi), max_iter, seed)
-    raise NoConvergence(f"|chi| = {abs(chi):.3e} after {max_iter} iterations from seed {seed}")
+    if abs(f) <= tol:
+        return RefinedSpot(x, abs(f), max_iter, seed)
+    raise NoConvergence(f"|f| = {abs(f):.3e} after {max_iter} iterations from seed {seed}")
 
 
 def _parabolic_floor(v: np.ndarray, i: int, j: int) -> float:
@@ -305,7 +315,8 @@ def find_spots_generic(state: Superposition, window, grid_step: float,
             if plo <= spot.xi[0] <= phi and qlo <= spot.xi[1] <= qhi:
                 candidates.append(spot)
 
-    candidates.sort(key=lambda s: (s.residual, s.xi[0], s.xi[1]))
+    # candidates are in grid order of their seeds, and the earliest seed of a
+    # spot is kept: residuals at round-off level must not decide it
     kept: List[RefinedSpot] = []
     for spot in candidates:
         if all(np.hypot(*(spot.xi - k.xi)) > grid_step / 2 for k in kept):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,8 @@ def valid_config(subcommand):
     elif subcommand == "invert":
         cfg["invert"] = {"spots": [{"xi": [0.3, 0.1], "k": [0, 0]},
                                    {"xi": [0.1, 0.4], "k": [1, 0]}]}
+    elif subcommand == "check":
+        cfg["check"] = {"n_random": 3}
     else:
         cfg["spots"] = {"k_range": [[-1, 1], [-1, 1]]}
     return cfg
@@ -270,15 +273,26 @@ def valid_config(subcommand):
     ("decohere", "lindblad.couplings", 5),
     ("invert", "spots", [{"xi": "x", "k": [0, 0]}, {"xi": [0.1, 0.4], "k": [1, 0]}]),
     ("invert", "spots", [{"xi": [0.3, 0.1], "k": 3}, {"xi": [0.1, 0.4], "k": [1, 0]}]),
+    ("grid", "states[0].center", "x"),
+    ("grid", "states[0].frame", "x"),
+    ("grid", "states[0].amplitude", [1.0, "x"]),
+    ("spots", "spots", 5),
+    ("check", "check", 5),
+    ("decohere", "lindblad", 5),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, subcommand, key, value):
-    # a dotted key names its block; a plain one sits in the subcommand's block
-    where = key if "." in key else f"{subcommand}.{key}"
-    block, name = where.split(".")
+    # a key that starts with a top-level name of the config is a path from the
+    # top (states[0].center, lindblad.couplings, spots); any other key sits in
+    # the subcommand's block
     cfg = valid_config(subcommand)
     path = write_config(tmp_path, "ok.json", cfg)
     assert main([subcommand, path, "--out", str(tmp_path / "ok.csv")]) == 0
-    cfg[block][name] = value
+    where = key if re.match(r"\w+", key).group() in cfg else f"{subcommand}.{key}"
+    *parents, name = re.findall(r"\w+", where)
+    block = cfg
+    for part in parents:
+        block = block[int(part) if part.isdigit() else part]
+    block[name] = value
     path = write_config(tmp_path, "bad.json", cfg)
     assert main([subcommand, path]) == 2
     captured = capsys.readouterr()

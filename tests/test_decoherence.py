@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from blindspots import (
     wigner_exact,
 )
 from blindspots import decoherence
-from blindspots.chord import wavefunction
+from blindspots.chord import pair_arrays, wavefunction
 from blindspots.decoherence import evolved_chord_gradient, smoothing_covariance
 from blindspots.fields import grid_axes
 from blindspots.geometry import J
@@ -542,6 +544,107 @@ def test_positivity_time_single_coupling():
     along_q = normalize(Superposition.from_centers(HBAR, [1.0, 1.0], [(0, 0), (0, 2.0)]))
     with pytest.raises(NeverPositive):
         positivity_time(along_q, model)
+
+
+CERTIFIED_STATES = {
+    "balanced cat": POSITIVITY_STATES["balanced cat"],
+    "compact triplet": triplet(COMPACT_CENTERS),
+    "corner triplet d=3": corner_triplet_state(3.0),
+    "unbalanced triplet": triplet(COMPACT_CENTERS, amps=(1.0, 0.5, 0.25j)),
+    "squeezed triplet": squeezed_triplet(),
+    "near-coherent triplet": triplet([(0.0, 0.0), (0.3, 0.0), (0.0, 0.3)]),
+    "6 terms": SIX_TERM_STATE,
+}
+CERTIFIED_MODELS = {
+    "pq": LindbladModel.position_momentum(),
+    "H=diag(1,1/4), p and q": LindbladModel.position_momentum(np.diag([1.0, 0.25])),
+    "H=diag(1,2), q": LindbladModel(np.diag([1.0, 2.0]), (np.array([0.0, 1.0]),)),
+}
+
+
+@pytest.fixture
+def wigner_grid_calls(monkeypatch):
+    """Records every grid evaluation of positivity_time's search."""
+    calls = []
+    original = decoherence._wigner_extrema
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(decoherence, "_wigner_extrema", spy)
+    return calls
+
+
+def positivity_records(caplog):
+    return [r for r in caplog.records if r.getMessage().startswith("positivity_time:")]
+
+
+@pytest.mark.parametrize("model_name", CERTIFIED_MODELS)
+@pytest.mark.parametrize("state_name", CERTIFIED_STATES)
+def test_positivity_time_certified_at_husimi_time(caplog, wigner_grid_calls, state_name,
+                                                   model_name):
+    state, model = CERTIFIED_STATES[state_name], CERTIFIED_MODELS[model_name]
+    with caplog.at_level(logging.DEBUG, logger="blindspots"):
+        tp = positivity_time(state, model)
+    assert tp == husimi_time(model)
+    assert not wigner_grid_calls
+    (record,) = positivity_records(caplog)
+    assert "certificate" in record.getMessage()
+    # W just before t_p is negative near the certified point, on a fine grid
+    _, xp, xq, _, _ = record.args
+    offsets = np.linspace(-0.05, 0.05, 101)
+    w = wigner_evolved_values(state, model, xp + offsets[:, None], xq + offsets[None, :],
+                              tp * (1 - 2e-3))
+    assert w.real.min() < 0
+
+
+def test_husimi_probe_chord_matrix():
+    model = CERTIFIED_MODELS["H=diag(1,2), q"]
+    m = decoherence_matrix(model, husimi_time(model)).m
+    probe = decoherence._husimi_probe(m)
+    c = pair_arrays(((1.0, probe),), ((1.0, probe),), HBAR)[3][0]
+    assert np.max(np.abs(c + m / HBAR)) <= 1e-9 * np.max(np.abs(m / HBAR))
+
+
+def test_husimi_certificate_declines_flow_beyond_frame_precision():
+    # R_{t_H} of this hyperbolic flow has entries near 670, so det R misses 1
+    # by 3e-11 and the moved frames are rejected: the grid search must run
+    model = LindbladModel(np.array([[0.0, 1.0], [1.0, 0.0]]), (np.array([0.1, 0.03]),))
+    t_h = husimi_time(model)
+    assert decoherence._husimi_certificate(triplet(COMPACT_CENTERS), model, t_h, 1e-3) is None
+
+
+ONE_COUPLING = LindbladModel(np.zeros((2, 2)), (np.array([1.0, 0.0]),))
+CAT_ALONG_P = normalize(Superposition.from_centers(HBAR, [1.0, 1.0], [(0, 0), (2.0, 0)]))
+CAT_ALONG_Q = normalize(Superposition.from_centers(HBAR, [1.0, 1.0], [(0, 0), (0, 2.0)]))
+COHERENT = normalize(Superposition.from_centers(HBAR, [1.0], [(0.3, -0.2)]))
+
+# (state, model, keyword arguments, t_p or the error raised)
+GRID_FALLBACKS = {
+    "tol != 0": (triplet(COMPACT_CENTERS), CERTIFIED_MODELS["pq"], {"tol": 1e-6}, 0.5),
+    "no Husimi bound": (CAT_ALONG_P, ONE_COUPLING, {}, 17.217909049367712),
+    "no Husimi bound, never positive": (CAT_ALONG_Q, ONE_COUPLING, {}, NeverPositive),
+    "t_max < t_H": (triplet(COMPACT_CENTERS), CERTIFIED_MODELS["pq"], {"t_max": 0.3},
+                    NeverPositive),
+    "single Gaussian": (COHERENT, CERTIFIED_MODELS["pq"], {}, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", GRID_FALLBACKS)
+def test_positivity_time_grid_fallbacks(caplog, wigner_grid_calls, name):
+    state, model, kwargs, expected = GRID_FALLBACKS[name]
+    with caplog.at_level(logging.DEBUG, logger="blindspots"):
+        if expected is NeverPositive:
+            with pytest.raises(NeverPositive):
+                positivity_time(state, model, **kwargs)
+            assert not positivity_records(caplog)
+        else:
+            assert positivity_time(state, model, **kwargs) == expected
+            (record,) = positivity_records(caplog)
+            assert "grid" in record.getMessage()
+            assert record.args[2] == len(wigner_grid_calls)
+    assert wigner_grid_calls
 
 
 def test_wigner_minimum_monotone(corner_triplet, pq_model):

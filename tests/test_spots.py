@@ -8,6 +8,7 @@ from blindspots import (
     DiffractionModel,
     NoClosure,
     NoConvergence,
+    RefinedSpot,
     Superposition,
     TriangleAngles,
     WrongArity,
@@ -26,6 +27,7 @@ from blindspots import (
     trace_nodal_lines,
     triangle_close,
 )
+from blindspots import spots as spots_module
 from conftest import HBAR
 
 
@@ -258,6 +260,23 @@ def test_find_spots_four_state_superposition():
     assert len(spots_a) == len(spots_b)
     for a in spots_a:
         assert min(np.hypot(*(a.xi - b.xi)) for b in spots_b) < 1e-8
+
+
+def test_find_spots_keeps_earliest_seed_of_a_duplicate(monkeypatch, compact_triplet):
+    # every seed refines to the same spot, later seeds with smaller residuals:
+    # the kept duplicate is the one from the first seed in grid order
+    calls = []
+
+    def refine(state, seed, tol, max_iter):
+        calls.append(np.asarray(seed, dtype=float))
+        return RefinedSpot(np.array([0.01, 0.02]), 1e-16 / len(calls), len(calls), calls[-1])
+
+    monkeypatch.setattr(spots_module, "newton_refine", refine)
+    found = find_spots_generic(compact_triplet, ((-0.4, 0.4), (-0.4, 0.4)), 0.02)
+    assert len(calls) > 1
+    assert len(found) == 1
+    assert found[0].iterations == 1
+    assert np.array_equal(found[0].seed, calls[0])
 
 
 def test_nodal_lines_structure(compact_triplet):
