@@ -5,12 +5,14 @@ complex Gaussians.  Each bra/ket pair (n, m) contributes
 
     conj(a_n) a_m * exp(c0 + b . xi + xi . C xi)
 
-to the chord function chi(xi) = <Psi| T_{-xi} |Psi>, and an analogous
-quadratic exponent in (p, q) to the Wigner function.  The coefficients come
+to the chord function chi(xi) = <Psi| T_{-xi} |Psi>.  The coefficients come
 from a single closed-form Gaussian integral over position; the independent
 oracle `chord_quadrature` integrates the same definition numerically.  A
 state builds its K = N^2 pair terms once, as arrays (mu, c0, b, C), and keeps
-them; chi and its gradient at a point are then one exp over K.
+them.  One evaluator, `gaussian_sum`, sums any such array: one exp over K at
+a point, a rank-K product on outer grids that do not couple p and q, term by
+term otherwise.  The Wigner terms are the exact Fourier map of the chord
+terms (`fourier_terms`).
 
 For one coherent state at center eta this reduces to
 chi(xi) = exp(i skew(eta, xi)/hbar) exp(-xi^2/4 hbar), the anchor that pins
@@ -24,8 +26,8 @@ import math
 import numpy as np
 
 from .errors import BadQuadrature, ImaginaryResidue, NotNormalized, ZeroNorm
-from .geometry import as_phase_vector
-from .states import GaussianState, MixedEnsemble, Superposition
+from .geometry import J, as_phase_vector
+from .states import MixedEnsemble, Superposition
 
 NORMALIZATION_TOL = 1e-9
 
@@ -86,40 +88,14 @@ def _gaussian_terms(mu, c0, cp, cq, cpp, cpq, cqq):
     return mu[keep], np.ravel(c0)[keep], b[keep], c[keep]
 
 
-def _pair_wigner_quadratic(bra: GaussianState, ket: GaussianState, hbar: float):
-    """Exponent coefficients of the pair's Wigner contribution, quadratic in x=(p,q)."""
-    b = np.conj(bra.width)
-    a = ket.width
-    p1, q1 = bra.center
-    p2, q2 = ket.center
-
-    a2 = (b + a) / 8.0
-    logpref = (0.25 * (math.log(bra.width.real) + math.log(ket.width.real))
-               - math.log(2.0 * math.pi * hbar) - 0.5 * np.log(a2))
-
-    l0 = 0.5 * (a * q2 - b * q1) + 0.5j * (p1 + p2)
-    lq = 0.5 * (b - a)
-    lp = -1j
-
-    k00 = -0.5 * b * q1 * q1 - 0.5 * a * q2 * q2 + 0.5j * (p1 * q1 - p2 * q2)
-    k0q = b * q1 + a * q2 + 1j * (p2 - p1)
-    k0qq = -0.5 * (b + a)
-
-    inv = 1.0 / (4.0 * a2 * hbar)
-    c0 = (l0 * l0) * inv + k00 / hbar + logpref
-    cp = 2.0 * l0 * lp * inv
-    cq = 2.0 * l0 * lq * inv + k0q / hbar
-    cpp = lp * lp * inv
-    cpq = 2.0 * lp * lq * inv
-    cqq = lq * lq * inv + k0qq / hbar
-    return c0, cp, cq, cpp, cpq, cqq
-
-
 def gaussian_sum(terms, x_p, x_q) -> np.ndarray:
     """sum_k mu_k exp(c0_k + b_k.x + x.C_k x) for terms (mu, c0, b, C).
 
-    At a single point (0-d x_p and x_q) this is one exp over all K terms;
-    on arrays of any broadcastable shape the terms are summed one by one,
+    The shape of the input picks the path.  At a single point (0-d x_p and
+    x_q) this is one exp over all K terms.  On an outer grid (x_p of shape
+    (Np, 1), x_q of shape (1, Nq)) where no term couples p and q (C_pq = 0,
+    as for identity frames and diagonal M_t) it is one rank-K matrix product
+    of per-axis factors.  On anything else the terms are summed one by one,
     which keeps the memory at one array of the output's size.
     """
     x_p = np.asarray(x_p, dtype=float)
@@ -127,6 +103,9 @@ def gaussian_sum(terms, x_p, x_q) -> np.ndarray:
     if x_p.ndim == x_q.ndim == 0:
         exponents, _ = point_exponents(terms, np.array([x_p, x_q]))
         return np.asarray(terms[0] @ np.exp(exponents))
+    if (x_p.ndim == x_q.ndim == 2 and x_p.shape[1] == 1 and x_q.shape[0] == 1
+            and x_p.size > 0 and x_q.size > 0 and not np.any(terms[3][:, 0, 1])):
+        return _separable_values(terms, x_p[:, 0], x_q[0])
     return _dense_values(terms, x_p, x_q)
 
 
@@ -153,6 +132,42 @@ def _dense_values(terms, x_p: np.ndarray, x_q: np.ndarray) -> np.ndarray:
                              + c[0, 0] * x_p * x_p + 2.0 * c[0, 1] * x_p * x_q
                              + c[1, 1] * x_q * x_q)
     return total
+
+
+def _axis_factors(b: np.ndarray, c: np.ndarray, x: np.ndarray):
+    """exp(b_k x + c_k x^2) on one axis, shape (len(x), K), each column divided
+    by its largest modulus so that none overflows; returns the factors and the
+    logs of those moduli."""
+    expo = np.multiply.outer(x, b) + np.multiply.outer(x * x, c)
+    top = expo.real.max(axis=0)
+    return np.exp(expo - top), top
+
+
+def _separable_values(terms, x_p: np.ndarray, x_q: np.ndarray) -> np.ndarray:
+    """sum_k on the outer grid x_p x x_q as one product F[Np, K] @ G[K, Nq],
+    valid when every C_k is diagonal."""
+    mu, c0, b, c = terms
+    f, top_p = _axis_factors(b[:, 0], c[:, 0, 0], x_p)
+    g, top_q = _axis_factors(b[:, 1], c[:, 1, 1], x_q)
+    return (f * (mu * np.exp(c0 + top_p + top_q))) @ g.T
+
+
+def fourier_terms(terms, hbar: float):
+    """Wigner terms from chord terms: W = F[chi] / (2 pi hbar), the symplectic
+    Fourier transform of fields.fourier_2d taken term by term in closed form.
+    Each Gaussian with Re C negative definite maps to another with the same
+    mu, c0 - b.C^-1 b / 4 + log(pi / ((2 pi hbar)^2 sqrt(det -C))), linear
+    part -(i / 2 hbar) J C^-1 b and quadratic part J C^-1 J^T / (4 hbar^2)."""
+    mu, c0, b, c = terms
+    log_pref = math.log(math.pi) - 2.0 * math.log(2.0 * math.pi * hbar)
+    cinv = np.linalg.inv(c)
+    cinv = 0.5 * (cinv + cinv.swapaxes(1, 2))
+    cinv_b = (cinv @ b[:, :, None])[:, :, 0]
+    det_neg = (-c[:, 0, 0]) * (-c[:, 1, 1]) - c[:, 0, 1] * c[:, 1, 0]
+    c0p = c0 - 0.25 * np.sum(b * cinv_b, axis=1) + log_pref - 0.5 * np.log(det_neg)
+    bp = (-0.5j / hbar) * (cinv_b @ J.T)
+    cp = (1.0 / (4.0 * hbar * hbar)) * (J @ cinv @ J.T)
+    return mu, c0p, bp, cp
 
 
 def chord_values(state: Superposition, xi_p, xi_q) -> np.ndarray:
@@ -209,11 +224,9 @@ def correlation_pure(state: Superposition, xi) -> float:
 
 
 def wigner_values(state: Superposition, x_p, x_q) -> np.ndarray:
-    """Complex-assembled Wigner samples (imaginary part is roundoff residue)."""
-    rows = [(np.conj(an) * am, *_pair_wigner_quadratic(gn, gm, state.hbar))
-            for an, gn in state.terms for am, gm in state.terms]
-    terms = _gaussian_terms(*(np.array(column) for column in zip(*rows)))
-    return gaussian_sum(terms, x_p, x_q)
+    """Complex-assembled Wigner samples (imaginary part is roundoff residue):
+    the Fourier map of the state's chord terms, summed like any Gaussian sum."""
+    return gaussian_sum(fourier_terms(state.chord_terms, state.hbar), x_p, x_q)
 
 
 def wigner_exact(state: Superposition, x) -> float:

@@ -6,7 +6,8 @@ Subcommands: grid, spots, decohere, invert, check.  Exit codes: 0 on success,
 2 on configuration or validation errors, 3 on numerical errors (inadequate
 window, failed convergence, ...).  All numbers are printed with 17 significant
 digits so that CSV output is byte-identical across runs and round-trips to
-the exact binary values.
+the exact binary values.  --threads is accepted for compatibility and has no
+effect.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from concurrent.futures import ThreadPoolExecutor
 from typing import IO, Sequence
 
 import numpy as np
@@ -175,26 +175,7 @@ def _meta_lines(cfg: dict, subcommand: str) -> list:
     ]
 
 
-def _grid_rows_values(state, kind, window, shape, threads: int) -> np.ndarray:
-    ap, aq = grid_axes(window, shape)
-
-    def eval_rows(rows: slice) -> np.ndarray:
-        block = ap[rows]
-        if kind == "wigner":
-            return wigner_values(state, block[:, None], aq[None, :])
-        vals = chord_values(state, block[:, None], aq[None, :])
-        return np.abs(vals) ** 2 if kind == "corr" else vals
-
-    if threads <= 1:
-        return eval_rows(slice(None))
-    bounds = np.linspace(0, shape[0], threads + 1).astype(int)
-    chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(eval_rows, chunks))
-    return np.vstack(parts)
-
-
-def cmd_grid(cfg: dict, out: IO[str], threads: int) -> int:
+def cmd_grid(cfg: dict, out: IO[str]) -> int:
     state = _state_from_config(cfg)
     block = cfg.get("grid")
     if block is None:
@@ -208,8 +189,13 @@ def cmd_grid(cfg: dict, out: IO[str], threads: int) -> int:
     if rows < 2 or cols < 2:
         raise ConfigError(f"bad grid.shape: {rows} x {cols}, need at least 2 x 2")
 
-    values = _grid_rows_values(state, kind, window, (rows, cols), threads)
     ap, aq = grid_axes(window, (rows, cols))
+    if kind == "wigner":
+        values = wigner_values(state, ap[:, None], aq[None, :]).real
+    else:
+        values = chord_values(state, ap[:, None], aq[None, :])
+        if kind == "corr":
+            values = np.abs(values) ** 2
 
     lines = _meta_lines(cfg, "grid")
     lines.append(f"# kind = {kind}")
@@ -217,23 +203,22 @@ def cmd_grid(cfg: dict, out: IO[str], threads: int) -> int:
     lines.append(f"# window_q = {_fmt(window[1][0])} {_fmt(window[1][1])}")
     lines.append(f"# shape = {rows} {cols}")
     axis_name = "x" if kind == "wigner" else "xi"
+    lines.append(f"{axis_name}_p,{axis_name}_q," + ("re,im" if kind == "chord" else "value"))
+    out.write("\n".join(lines) + "\n")
+    # one write per p-row keeps the memory at one row of text
     ps = [f"{x:.17g}" for x in ap.tolist()]
     qs = [f"{x:.17g}" for x in aq.tolist()]
     if kind == "chord":
-        lines.append(f"{axis_name}_p,{axis_name}_q,re,im")
         for p, re_row, im_row in zip(ps, values.real, values.imag):
-            lines.extend(f"{p},{q},{re:.17g},{im:.17g}"
-                         for q, re, im in zip(qs, re_row.tolist(), im_row.tolist()))
+            out.write("".join(f"{p},{q},{re:.17g},{im:.17g}\n"
+                              for q, re, im in zip(qs, re_row.tolist(), im_row.tolist())))
     else:
-        lines.append(f"{axis_name}_p,{axis_name}_q,value")
-        vr = values.real if np.iscomplexobj(values) else values
-        for p, row in zip(ps, vr):
-            lines.extend(f"{p},{q},{v:.17g}" for q, v in zip(qs, row.tolist()))
-    out.write("\n".join(lines) + "\n")
+        for p, row in zip(ps, values):
+            out.write("".join(f"{p},{q},{v:.17g}\n" for q, v in zip(qs, row.tolist())))
     return 0
 
 
-def cmd_spots(cfg: dict, out: IO[str], threads: int) -> int:
+def cmd_spots(cfg: dict, out: IO[str]) -> int:
     state = _state_from_config(cfg)
     block = cfg.get("spots", {})
     _require_keys(block, {"window", "grid_step", "tol", "k_range", "max_iter"}, "spots")
@@ -248,11 +233,10 @@ def cmd_spots(cfg: dict, out: IO[str], threads: int) -> int:
     rows = []
     note = None
 
-    weights = np.abs(state.amplitudes) ** 2
-    weights = weights / weights.sum()
+    model = DiffractionModel.from_superposition(state)
+    weights = model.weights
     if len(state) == 3:
         try:
-            model = DiffractionModel.from_superposition(state)
             lattice = hexagonal_lattice(model, k_range)
             plus, minus = lattice.angles
             lines.append(f"# theta_plus = {_fmt(plus.theta1)} {_fmt(plus.theta2)}")
@@ -314,7 +298,7 @@ def _auto_line_spot(state, line_point, line_dir):
     return newton_refine(state, xi).xi
 
 
-def cmd_decohere(cfg: dict, out: IO[str], threads: int) -> int:
+def cmd_decohere(cfg: dict, out: IO[str]) -> int:
     state = _state_from_config(cfg)
     model = _lindblad_from_config(cfg)
     block = cfg.get("decohere")
@@ -360,15 +344,15 @@ def cmd_decohere(cfg: dict, out: IO[str], threads: int) -> int:
         lines.append(f"# ratio_tau_l_A_over_hbar_t_p = {_fmt(ratio)}")
 
     lines.append("t,s,xi_p,xi_q,value")
+    out.write("\n".join(lines) + "\n")
     positions = [f"{s:.17g},{p:.17g},{q:.17g}"
                  for s, (p, q) in zip(series.samples.tolist(), series.positions().tolist())]
     for t, row in zip(series.times, series.values):
-        lines.extend(f"{t:.17g},{pos},{v:.17g}" for pos, v in zip(positions, row.tolist()))
-    out.write("\n".join(lines) + "\n")
+        out.write("".join(f"{t:.17g},{pos},{v:.17g}\n" for pos, v in zip(positions, row.tolist())))
     return 0
 
 
-def cmd_invert(cfg: dict, out: IO[str], threads: int) -> int:
+def cmd_invert(cfg: dict, out: IO[str]) -> int:
     state = _state_from_config(cfg)
     block = cfg.get("invert")
     if block is None:
@@ -383,9 +367,7 @@ def cmd_invert(cfg: dict, out: IO[str], threads: int) -> int:
     if len(state) != 3:
         raise ConfigError("the inverse problem needs a three-state superposition")
 
-    weights = np.abs(state.amplitudes) ** 2
-    weights = weights / weights.sum()
-    plus, minus = triangle_close(*weights)
+    plus, minus = triangle_close(*DiffractionModel.from_superposition(state).weights)
     angles = plus if branch == "plus" else minus
 
     measured = []
@@ -409,7 +391,7 @@ def cmd_invert(cfg: dict, out: IO[str], threads: int) -> int:
     return 0
 
 
-def cmd_check(cfg: dict, out: IO[str], threads: int) -> int:
+def cmd_check(cfg: dict, out: IO[str]) -> int:
     block = cfg.get("check", {})
     _require_keys(block, {"seed", "n_random", "window", "shape"}, "check")
     state = _state_from_config(cfg)
@@ -483,15 +465,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help="grid evaluation threads")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
 
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
         if args.out is None:
-            return _COMMANDS[args.subcommand](cfg, sys.stdout, args.threads)
+            return _COMMANDS[args.subcommand](cfg, sys.stdout)
         with open(args.out, "w", newline="\n") as fh:
-            return _COMMANDS[args.subcommand](cfg, fh, args.threads)
+            return _COMMANDS[args.subcommand](cfg, fh)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,10 +17,10 @@ The correlation C(xi, t) = F[|chi_t|^2] is then the pure-state correlation
 convolved with a normalized Gaussian of covariance -4 hbar J M_t J; both the
 correlation and the evolving Wigner function stay finite sums of complex
 Gaussians, evaluated here in closed form.  The chord terms are held as arrays
-(mu, c0, b, C); the Fourier transform (for W_t) and the convolution (for C, on
-all pairs of terms) map them to new arrays of the same form, which one
-evaluator sums.  On outer grids whose terms do not couple p and q, W_t is one
-rank-K matrix product.
+(mu, c0, b, C); the flow transports them, M_t damps them (C - M_t / hbar),
+and the Fourier map (for W_t) and the convolution (for C, on all pairs of
+terms) take them to new arrays of the same form, which chord.gaussian_sum
+evaluates.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .errors import (
     ValidationError,
 )
 from .chord import (
-    chord_gradient,
-    chord_values,
+    fourier_terms,
+    gaussian_gradient,
     gaussian_sum,
     pair_arrays,
     point_exponents,
@@ -132,13 +132,6 @@ class DecoherenceGaussian:
     t: float
     m: np.ndarray
     hbar: float
-
-    def factor(self, xi_p, xi_q) -> np.ndarray:
-        xi_p = np.asarray(xi_p, dtype=float)
-        xi_q = np.asarray(xi_q, dtype=float)
-        quad = (self.m[0, 0] * xi_p * xi_p + 2.0 * self.m[0, 1] * xi_p * xi_q
-                + self.m[1, 1] * xi_q * xi_q)
-        return np.exp(-quad / self.hbar)
 
 
 _SERIES_X = 1.0     # |x| = 4 |det A| t^2 below which the flow integrals use their series
@@ -227,48 +220,43 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
     return DecoherenceGaussian(float(t), m, hbar)
 
 
-def evolved_chord(state: Superposition, model: LindbladModel, xi, t: float) -> complex:
-    """chi_t(xi) = chi_0(R_{-t} xi) exp(-xi . M_t xi / hbar)."""
+def _evolved_terms(state: Superposition, model: LindbladModel, t: float):
+    """The state's chord terms (mu[K], c0[K], b[K, 2], C[K, 2, 2]) transported
+    by the classical flow R_{-t}, and the DecoherenceGaussian of M_t, after the
+    checks that every evolved quantity needs."""
     _require_nondissipative(model)
     if t < 0:
         raise NegativeTime(f"t = {t}")
     require_normalized(state)
-    xi = as_phase_vector(xi, "xi")
     r_back = propagator_matrix(model.hamiltonian, -t)
-    zeta = r_back @ xi
+    mu, c0, b, c = state.chord_terms
     gauss = decoherence_matrix(model, t, hbar=state.hbar)
-    chi_u = complex(chord_values(state, zeta[0], zeta[1]))
-    return chi_u * complex(gauss.factor(xi[0], xi[1]))
+    return (mu, c0, b @ r_back, r_back.T @ c @ r_back), gauss
+
+
+def _damped_terms(state: Superposition, model: LindbladModel, t: float):
+    """chi_t as terms: the transported chord terms with C' - M_t / hbar."""
+    (mu, c0, b, c), gauss = _evolved_terms(state, model, t)
+    return mu, c0, b, c - gauss.m / state.hbar
+
+
+def evolved_chord(state: Superposition, model: LindbladModel, xi, t: float) -> complex:
+    """chi_t(xi) = chi_0(R_{-t} xi) exp(-xi . M_t xi / hbar)."""
+    xi = as_phase_vector(xi, "xi")
+    return complex(gaussian_sum(_damped_terms(state, model, t), xi[0], xi[1]))
 
 
 def evolved_chord_gradient(state: Superposition, model: LindbladModel, xi,
                            t: float) -> np.ndarray:
     """Analytic (d chi_t/d xi_p, d chi_t/d xi_q) for master-equation residuals."""
-    _require_nondissipative(model)
-    xi = as_phase_vector(xi, "xi")
-    r_back = propagator_matrix(model.hamiltonian, -t)
-    zeta = r_back @ xi
-    gauss = decoherence_matrix(model, t, hbar=state.hbar)
-    g = complex(gauss.factor(xi[0], xi[1]))
-    chi_u = complex(chord_values(state, zeta[0], zeta[1]))
-    grad_u = r_back.T @ chord_gradient(state, zeta)
-    grad_g = (-2.0 / state.hbar) * (gauss.m @ xi) * g
-    return grad_u * g + chi_u * grad_g
+    return gaussian_gradient(_damped_terms(state, model, t), as_phase_vector(xi, "xi"))
 
 
 def evolved_chord_grid(state: Superposition, model: LindbladModel, window, shape,
                        t: float) -> FieldGrid:
-    _require_nondissipative(model)
-    if t < 0:
-        raise NegativeTime(f"t = {t}")
-    require_normalized(state)
     ap, aq = grid_axes(window, shape)
-    r_back = propagator_matrix(model.hamiltonian, -t)
-    zp = r_back[0, 0] * ap[:, None] + r_back[0, 1] * aq[None, :]
-    zq = r_back[1, 0] * ap[:, None] + r_back[1, 1] * aq[None, :]
-    chi_u = chord_values(state, zp, zq)
-    gauss = decoherence_matrix(model, t, hbar=state.hbar)
-    return FieldGrid(window, shape, chi_u * gauss.factor(ap[:, None], aq[None, :]), "chord")
+    terms = _damped_terms(state, model, t)
+    return FieldGrid(window, shape, gaussian_sum(terms, ap[:, None], aq[None, :]), "chord")
 
 
 def evolved_correlation(state: Superposition, model: LindbladModel, window, shape,
@@ -277,23 +265,10 @@ def evolved_correlation(state: Superposition, model: LindbladModel, window, shap
     grid = evolved_chord_grid(state, model, window, shape, t)
     sq = np.abs(grid.values) ** 2
     require_adequate(sq)
-    out = fourier_2d(FieldGrid(window, shape, sq, "correlation"), state.hbar)
-    vals = out.values
-    scale = np.max(np.abs(vals))
-    if scale > 0 and np.max(np.abs(vals.imag)) > 1e-9 * scale:
-        raise NumericalError("evolved correlation left an imaginary part")
-    return FieldGrid(window, shape, vals.real, "correlation")
+    return fourier_2d(FieldGrid(window, shape, sq, "correlation"), state.hbar)
 
 
 # -- closed-form Gaussian algebra ----------------------------------------------
-
-def _unitary_pair_terms(state: Superposition, model: LindbladModel, t: float):
-    """The state's cached chord pair terms (mu[K], c0[K], b[K, 2], C[K, 2, 2])
-    transported by the classical flow R_{-t}."""
-    r_back = propagator_matrix(model.hamiltonian, -t)
-    mu, c0, b, c = state.chord_terms
-    return mu, c0, b @ r_back, r_back.T @ c @ r_back
-
 
 def smoothing_covariance(gauss: DecoherenceGaussian) -> np.ndarray:
     """Covariance of the correlation-smoothing kernel: -4 hbar J M J."""
@@ -313,16 +288,12 @@ def correlation_evolved_points(state: Superposition, model: LindbladModel,
     c0 + b.G b / 2, b + 2 C G b and C + 2 C G C.  All pairs are folded at once
     as arrays and the result is summed like any other Gaussian sum.
     """
-    _require_nondissipative(model)
-    if t < 0:
-        raise NegativeTime(f"t = {t}")
-    require_normalized(state)
+    (mu, c0, b, c), gauss = _evolved_terms(state, model, t)
+    sigma = smoothing_covariance(gauss)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
 
-    sigma = smoothing_covariance(decoherence_matrix(model, t, hbar=state.hbar))
-    mu, c0, b, c = _unitary_pair_terms(state, model, t)
     # all K^2 pairs, not half of them: the imaginary-part check below relies on
     # conjugate pairs cancelling, which a wrong branch of sqrt(det D) would break
     mu = np.multiply.outer(mu, np.conj(mu)).ravel()
@@ -348,65 +319,14 @@ def correlation_evolved_points(state: Superposition, model: LindbladModel,
     return total.real
 
 
-def _wigner_terms(state: Superposition, model: LindbladModel, t: float):
-    """W_t as arrays (mu[K], c0[K], b[K, 2], C[K, 2, 2]) with
-    W_t(x) = sum_k mu_k exp(c0_k + b_k . x + x . C_k x): the symplectic
-    Fourier transform of each damped, transported chord term."""
-    h = state.hbar
-    gauss = decoherence_matrix(model, t, hbar=h)
-    log_pref = math.log(math.pi) - 2.0 * math.log(2.0 * math.pi * h)
-    mu, c0, b, cmat = _unitary_pair_terms(state, model, t)
-    cc = cmat - gauss.m / h
-    cinv = np.linalg.inv(cc)
-    cinv = 0.5 * (cinv + cinv.swapaxes(1, 2))
-    cinv_b = (cinv @ b[:, :, None])[:, :, 0]
-    det_neg = (-cc[:, 0, 0]) * (-cc[:, 1, 1]) - cc[:, 0, 1] * cc[:, 1, 0]
-    c0p = c0 - 0.25 * np.sum(b * cinv_b, axis=1) + log_pref - 0.5 * np.log(det_neg)
-    bp = (-0.5j / h) * (cinv_b @ J.T)
-    cp = (1.0 / (4.0 * h * h)) * (J @ cinv @ J.T)
-    return mu, c0p, bp, cp
-
-
-def _axis_factors(b: np.ndarray, c: np.ndarray, x: np.ndarray):
-    """exp(b_k x + c_k x^2) on one axis, shape (len(x), K), each column divided
-    by its largest modulus so that none overflows; returns the factors and the
-    logs of those moduli."""
-    expo = np.multiply.outer(x, b) + np.multiply.outer(x * x, c)
-    top = expo.real.max(axis=0)
-    return np.exp(expo - top), top
-
-
-def _separable_values(terms, x_p: np.ndarray, x_q: np.ndarray) -> np.ndarray:
-    """sum_k on the outer grid x_p x x_q as one product F[Np, K] @ G[K, Nq],
-    valid when every C_k is diagonal."""
-    mu, c0, b, c = terms
-    f, top_p = _axis_factors(b[:, 0], c[:, 0, 0], x_p)
-    g, top_q = _axis_factors(b[:, 1], c[:, 1, 1], x_q)
-    return (f * (mu * np.exp(c0 + top_p + top_q))) @ g.T
-
-
 def wigner_evolved_values(state: Superposition, model: LindbladModel,
                           x_p, x_q, t: float) -> np.ndarray:
     """W_t(x): symplectic Fourier conjugate of chi_t, term-exact.
 
-    Each chord-term Gaussian transforms in closed form, so the grid only
-    samples the result; there is no discrete-transform error.  On an outer
-    grid (x_p of shape (Np, 1), x_q of shape (1, Nq)) where no term couples p
-    and q (identity frames and diagonal M_t, as for H = 0) the K terms are
-    summed as one rank-K matrix product; otherwise term by term.
+    Each chord-term Gaussian transforms in closed form (fourier_terms), so
+    the grid only samples the result; there is no discrete-transform error.
     """
-    _require_nondissipative(model)
-    if t < 0:
-        raise NegativeTime(f"t = {t}")
-    require_normalized(state)
-    x_p = np.asarray(x_p, dtype=float)
-    x_q = np.asarray(x_q, dtype=float)
-    terms = _wigner_terms(state, model, t)
-    outer = (x_p.ndim == x_q.ndim == 2 and x_p.shape[1] == 1 and x_q.shape[0] == 1
-             and x_p.size > 0 and x_q.size > 0)
-    if outer and not np.any(terms[3][:, 0, 1]):
-        return _separable_values(terms, x_p[:, 0], x_q[0])
-    return gaussian_sum(terms, x_p, x_q)
+    return gaussian_sum(fourier_terms(_damped_terms(state, model, t), state.hbar), x_p, x_q)
 
 
 @dataclass(frozen=True)
@@ -567,10 +487,12 @@ def husimi_time(model: LindbladModel) -> float:
     det G = 1.  Once det M_t >= 1/16, M_t - G/4 is positive semidefinite for
     some such G, so W_t is a Husimi function smoothed further by a positive
     Gaussian and cannot be negative, whatever the initial pure state.  For
-    H = 0 the bound is 1/(2 sqrt(det C)); otherwise M_t only grows, so it is
-    bracketed by doubling and bisected to 1e-12 relative.  When det M_t stays
-    below 1/16 (a single coupling that the Hamiltonian does not mix) the
-    result is inf.
+    H = 0 the bound is 1/(2 sqrt(det C)).  A rank-one C = v v^T whose v is an
+    eigenvector of A^T = (2 J H)^T keeps M_t along v v^T, so det M_t = 0 at
+    every t and the result is inf.  Otherwise M_t only grows: it is bracketed
+    by doubling from min(1/tr C, 1/sqrt|det A|), which finds the bracket
+    before a hyperbolic M_t overflows, up to 2^16 / tr C, and bisected to
+    1e-12 relative.
     """
     _require_nondissipative(model)
     c = model.coupling_matrix()
@@ -579,12 +501,20 @@ def husimi_time(model: LindbladModel) -> float:
         return 1.0 / (2.0 * math.sqrt(det_c)) if det_c > 0 else math.inf
     if not np.any(c):
         return math.inf
+    a = 2.0 * (J @ model.hamiltonian)
+    spread, frame = np.linalg.eigh(c)
+    if spread[0] <= 1e-12 * spread[1]:
+        v = frame[:, 1]
+        if abs(skew(a.T @ v, v)) <= 1e-12 * np.max(np.abs(a)):
+            return math.inf
 
     def reached(t: float) -> bool:
         return float(np.linalg.det(decoherence_matrix(model, t).m)) >= HUSIMI_DET
 
-    lo, hi = 0.0, 1.0 / float(np.trace(c))
-    for _ in range(_HUSIMI_DOUBLINGS):
+    start = 1.0 / float(np.trace(c))
+    det_a = abs(float(np.linalg.det(a)))
+    lo, hi = 0.0, (min(start, 1.0 / math.sqrt(det_a)) if det_a > 0 else start)
+    while hi < start * 2.0 ** _HUSIMI_DOUBLINGS:
         if reached(hi):
             return _bisect_earliest(reached, lo, hi, _HUSIMI_PRECISION)
         lo, hi = hi, 2.0 * hi
@@ -685,7 +615,7 @@ def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: fl
     except NotSymplectic:
         return None
     mu, c0, b, c = amplitude = pair_arrays(((1.0, probe),), moved.terms, h)
-    w_terms = _wigner_terms(state, model, t)
+    w_terms = fourier_terms(_damped_terms(state, model, t), h)
     for seed in _pair_zero_seeds(amplitude):
         # the largest term is 1 at the seed, so that tol is relative
         top = point_exponents(amplitude, seed)[0].real.max()

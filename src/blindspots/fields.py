@@ -29,7 +29,9 @@ KINDS = ("chord", "wigner", "correlation")
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Complex samples of a phase-space field with exact geometry metadata."""
+    """Samples of a phase-space field with exact geometry metadata: complex
+    for chord grids, real for wigner and correlation grids (complex input
+    there is checked for imaginary residue and its real part kept)."""
 
     window: Window
     shape: Tuple[int, int]
@@ -53,6 +55,7 @@ class FieldGrid:
             if scale > 0 and np.max(np.abs(v.imag)) > 1e-9 * scale:
                 raise ImaginaryResidue(
                     f"{self.kind} grid carries imaginary part above 1e-9 of its peak")
+            v = v.real
         object.__setattr__(self, "window", ((float(plo), float(phi)), (float(qlo), float(qhi))))
         object.__setattr__(self, "shape", (int(rows), int(cols)))
         object.__setattr__(self, "values", v)
@@ -91,11 +94,7 @@ def wigner_grid(state: Superposition, window: Window, shape: Tuple[int, int]) ->
     """Sample W(x) over a window (exact pairwise assembly, no transform)."""
     require_normalized(state)
     ap, aq = grid_axes(window, shape)
-    vals = wigner_values(state, ap[:, None], aq[None, :])
-    scale = np.max(np.abs(vals))
-    if scale > 0 and np.max(np.abs(vals.imag)) > 1e-9 * scale:
-        raise ImaginaryResidue("Wigner grid assembly left an imaginary part")
-    return FieldGrid(window, shape, vals.real, "wigner")
+    return FieldGrid(window, shape, wigner_values(state, ap[:, None], aq[None, :]), "wigner")
 
 
 def correlation_grid(state: Superposition, window: Window, shape: Tuple[int, int]) -> FieldGrid:
@@ -198,11 +197,7 @@ def self_dual_grid(hbar: float, halfwidth: float, min_samples: int = 3) -> Tuple
 def wigner_from_chord_grid(grid: FieldGrid, hbar: float) -> FieldGrid:
     """W = F[chi] / (2 pi hbar), sampled on the chord grid's window."""
     out = fourier_2d(grid, hbar, kind="chord")
-    vals = out.values / (2.0 * np.pi * hbar)
-    scale = np.max(np.abs(vals))
-    if scale > 0 and np.max(np.abs(vals.imag)) > 1e-9 * scale:
-        raise ImaginaryResidue("Wigner transform left an imaginary part")
-    return FieldGrid(grid.window, grid.shape, vals.real, "wigner")
+    return FieldGrid(grid.window, grid.shape, out.values / (2.0 * np.pi * hbar), "wigner")
 
 
 def mixture_chord_squared_grid(ens: MixedEnsemble, window: Window,
@@ -221,12 +216,7 @@ def correlation_mixture(ens: MixedEnsemble, window: Window,
     """
     sq = mixture_chord_squared_grid(ens, window, shape)
     require_adequate(sq.values)
-    out = fourier_2d(sq, ens.hbar, kind="correlation")
-    vals = out.values
-    scale = np.max(np.abs(vals))
-    if scale > 0 and np.max(np.abs(vals.imag)) > 1e-9 * scale:
-        raise ImaginaryResidue("mixture correlation left an imaginary part")
-    return FieldGrid(window, shape, vals.real, "correlation")
+    return fourier_2d(sq, ens.hbar, kind="correlation")
 
 
 def grid_value_at(grid: FieldGrid, point) -> complex:

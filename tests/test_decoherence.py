@@ -20,6 +20,7 @@ from blindspots import (
     decoherence_matrix,
     dissipation_coeff,
     evolved_chord,
+    evolved_chord_grid,
     evolved_correlation,
     husimi_time,
     lifting_time,
@@ -30,8 +31,8 @@ from blindspots import (
     wigner_evolved_values,
     wigner_exact,
 )
-from blindspots import decoherence
-from blindspots.chord import pair_arrays, wavefunction
+from blindspots import chord, decoherence
+from blindspots.chord import chord_values, pair_arrays, wavefunction, wigner_values
 from blindspots.decoherence import evolved_chord_gradient, smoothing_covariance
 from blindspots.fields import grid_axes
 from blindspots.geometry import J
@@ -198,6 +199,24 @@ def test_decoherence_matrix_semigroup(model, t):
     m_ts = decoherence_matrix(model, t + s).m
     m_sum = decoherence_matrix(model, t).m + r.T @ decoherence_matrix(model, s).m @ r
     assert np.max(np.abs(m_ts - m_sum)) < 1e-12 * max(1.0, np.max(np.abs(m_ts)))
+
+
+def test_husimi_time_hyperbolic_weak_coupling():
+    # doubling from 1 / tr C = 1019 would overflow M_t; the bracket starts at
+    # 1 / sqrt|det A| = 0.5 instead
+    model = LindbladModel(np.array([[0.0, 1.0], [1.0, 0.0]]), (np.array([0.03, 0.009]),))
+    th = husimi_time(model)
+    assert th == pytest.approx(4.4551193458, rel=1e-10)
+    assert 16.0 * np.linalg.det(decoherence_matrix(model, th).m) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_husimi_time_coupling_on_growing_eigendirection():
+    # A = diag(-1, 1): a p coupling is an eigenvector of A^T on the growing
+    # side, so M_t stays rank one (det M_t = 0) while it grows like e^{2t}
+    model = LindbladModel(np.array([[0.0, 0.5], [0.5, 0.0]]), (np.array([1.0, 0.0]),))
+    assert husimi_time(model) == np.inf
+    m = decoherence_matrix(model, 50.0).m
+    assert abs(np.linalg.det(m)) <= 1e-12 * np.max(np.abs(m)) ** 2
 
 
 def test_husimi_time_fast_elliptic():
@@ -658,15 +677,15 @@ def test_wigner_minimum_monotone(corner_triplet, pq_model):
 
 @pytest.fixture
 def separable_calls(monkeypatch):
-    """Records every rank-K product evaluation of W_t."""
+    """Records every rank-K product evaluation of a Gaussian sum."""
     calls = []
-    original = decoherence._separable_values
+    original = chord._separable_values
 
     def spy(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(decoherence, "_separable_values", spy)
+    monkeypatch.setattr(chord, "_separable_values", spy)
     return calls
 
 
@@ -683,13 +702,48 @@ SEPARABLE_STATES = {"compact triplet": triplet(COMPACT_CENTERS),
 @pytest.mark.parametrize("name", SEPARABLE_STATES)
 def test_wigner_separable_matches_dense(separable_calls, pq_model, name, t):
     state = SEPARABLE_STATES[name]
+    assert_separable_matches_dense(
+        separable_calls, state,
+        lambda x_p, x_q: wigner_evolved_values(state, pq_model, x_p, x_q, t))
+
+
+def assert_separable_matches_dense(separable_calls, state, field):
+    """field(x_p, x_q) on outer axes takes the rank-K product, once, and agrees
+    with its term-by-term value on the dense mesh."""
     ap, aq = wigner_axes(state)
-    grid = wigner_evolved_values(state, pq_model, ap[:, None], aq[None, :], t)
+    grid = field(ap[:, None], aq[None, :])
     assert len(separable_calls) == 1
     pp, qq = np.meshgrid(ap, aq, indexing="ij")
-    dense = wigner_evolved_values(state, pq_model, pp, qq, t)
+    dense = field(pp, qq)
     assert len(separable_calls) == 1
     assert np.max(np.abs(grid - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def damped_chord_h0(state, model, x_p, x_q, t=0.3):
+    """chi_t at H = 0: evolved_chord_grid on outer axes; on a dense mesh,
+    independently, chi(xi) exp(-xi . M_t xi / hbar)."""
+    if x_p.shape[1] == 1:
+        window = ((x_p[0, 0], x_p[-1, 0]), (x_q[0, 0], x_q[0, -1]))
+        return evolved_chord_grid(state, model, window, (x_p.size, x_q.size), t).values
+    m = decoherence_matrix(model, t, hbar=state.hbar).m
+    quad = m[0, 0] * x_p * x_p + 2.0 * m[0, 1] * x_p * x_q + m[1, 1] * x_q * x_q
+    return chord_values(state, x_p, x_q) * np.exp(-quad / state.hbar)
+
+
+SEPARABLE_FIELDS = {
+    "chord": lambda state, model, x_p, x_q: chord_values(state, x_p, x_q),
+    "static wigner": lambda state, model, x_p, x_q: wigner_values(state, x_p, x_q),
+    "chi_t at H = 0": damped_chord_h0,
+}
+
+
+@pytest.mark.parametrize("field", SEPARABLE_FIELDS)
+@pytest.mark.parametrize("name", SEPARABLE_STATES)
+def test_separable_matches_dense(separable_calls, pq_model, name, field):
+    state = SEPARABLE_STATES[name]
+    assert_separable_matches_dense(
+        separable_calls, state,
+        lambda x_p, x_q: SEPARABLE_FIELDS[field](state, pq_model, x_p, x_q))
 
 
 def wigner_position_reference(state, p, q):
@@ -704,7 +758,8 @@ def wigner_position_reference(state, p, q):
 def test_wigner_squeezed_frames_take_dense_path(separable_calls, pq_model):
     state = squeezed_triplet()
     ap, aq = wigner_axes(state, 61)
-    w = wigner_evolved_values(state, pq_model, ap[:, None], aq[None, :], 0.0)
+    for w in (wigner_evolved_values(state, pq_model, ap[:, None], aq[None, :], 0.0),
+              wigner_values(state, ap[:, None], aq[None, :])):
+        for i, j in ((30, 23), (12, 40), (45, 10), (7, 7)):
+            assert abs(w[i, j] - wigner_position_reference(state, ap[i], aq[j])) < 1e-10
     assert not separable_calls
-    for i, j in ((30, 23), (12, 40), (45, 10), (7, 7)):
-        assert abs(w[i, j] - wigner_position_reference(state, ap[i], aq[j])) < 1e-10

@@ -35,6 +35,9 @@ def test_field_grid_validation():
         FieldGrid(((-1, 1), (-1, 1)), (3, 3), np.zeros((3, 3)), "husimi")
     with pytest.raises(ImaginaryResidue):
         FieldGrid(((-1, 1), (-1, 1)), (3, 3), 1j * np.ones((3, 3)), "wigner")
+    # a round-off residue passes the check and is dropped
+    kept = FieldGrid(((-1, 1), (-1, 1)), (3, 3), (1 + 1e-12j) * np.ones((3, 3)), "correlation")
+    assert kept.values.dtype == float and np.all(kept.values == 1.0)
 
 
 def test_fourier_gaussian_self_reciprocal():
