@@ -58,36 +58,145 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _require_keys(block: dict, allowed: set, where: str):
-    if not isinstance(block, dict):
-        raise ConfigError(f"bad {where}: {block!r}")
-    unknown = set(block) - allowed
+REQUIRED = object()  # the default of a key that a config must give
+
+
+def _within(convert, ok):
+    """convert, then reject a value for which ok(value) is false."""
+    def checked(v):
+        out = convert(v)
+        if not ok(out):
+            raise ValueError(f"out of range: {v!r}")
+        return out
+    return checked
+
+
+def _pair(convert):
+    """A JSON array [a, b] as (convert(a), convert(b))."""
+    def pair(v):
+        if not isinstance(v, list) or len(v) != 2:
+            raise ValueError(f"expected two entries, got {v!r}")
+        return convert(v[0]), convert(v[1])
+    return pair
+
+
+def _floats(shape):
+    def array(v) -> np.ndarray:
+        out = np.asarray(v, dtype=float)
+        if out.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {v!r}")
+        return out
+    return array
+
+
+_real = _within(float, np.isfinite)
+_int_pair = _pair(int)
+_float_pair = _pair(_real)
+_vector = _floats((2,))
+_matrix = _floats((2, 2))
+_window = _pair(_float_pair)
+_shape = _within(_int_pair, lambda s: min(s) >= 2)
+
+
+def _optional(convert):
+    return lambda v: None if v is None else convert(v)
+
+
+def _one_of(*allowed):
+    return _within(lambda v: v, lambda v: v in allowed)
+
+
+def _amplitude(a) -> complex:
+    """A number or [re, im]."""
+    if isinstance(a, (int, float)):
+        return complex(a)
+    return complex(*_float_pair(a))
+
+
+def _times(v) -> list:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list of times, got {v!r}")
+    return [_real(t) for t in v]
+
+
+# The config format: block -> key -> (convert, default).  A dict in place of
+# convert is a nested object; [table] is a non-empty array of such objects
+# and [table, table] an array of exactly two.  Ranges live in the converters.
+# spots.window and spots.grid_step default to 3 sqrt(hbar) each way and
+# sqrt(hbar) / 15.
+_INVERT_SPOT = {"xi": (_vector, REQUIRED), "k": (_int_pair, REQUIRED)}
+SCHEMA = {
+    "hbar": (_real, REQUIRED),
+    "states": ([{"amplitude": (_amplitude, REQUIRED),
+                 "center": (_vector, REQUIRED),
+                 "frame": (_matrix, np.eye(2))}], REQUIRED),
+    "lindblad": ({"h": (_matrix, np.zeros((2, 2))),
+                  "couplings": ([{"re": (_vector, np.zeros(2)),
+                                  "im": (_vector, np.zeros(2))}], REQUIRED)}, REQUIRED),
+    "grid": ({"kind": (_one_of("chord", "wigner", "corr"), REQUIRED),
+              "window": (_window, REQUIRED),
+              "shape": (_shape, REQUIRED)}, REQUIRED),
+    "spots": ({"window": (_window, None),
+               "grid_step": (_within(_real, lambda s: s > 0), None),
+               "tol": (_real, 1e-12),
+               "k_range": (_within(_pair(_int_pair), lambda kr: all(lo <= hi for lo, hi in kr)),
+                           ((-2, 2), (-2, 2))),
+               "max_iter": (int, 50)}, {}),
+    "decohere": ({"line": ({"point": (_vector, REQUIRED),
+                            "direction": (_within(_vector, np.any), REQUIRED)}, REQUIRED),
+                  "s_range": (_float_pair, REQUIRED),
+                  "n_samples": (int, REQUIRED),
+                  "times": (_times, REQUIRED),
+                  "epsilon": (_real, 1e-3),
+                  "spot": (_optional(_vector), None),
+                  "summary": (bool, True),
+                  "t_max": (_optional(_real), None),
+                  "positivity_tol": (_real, 0.0)}, REQUIRED),
+    "invert": ({"branch": (_one_of("plus", "minus"), "plus"),
+                "spots": ([_INVERT_SPOT, _INVERT_SPOT], REQUIRED)}, REQUIRED),
+    "check": ({"seed": (_within(int, lambda n: n >= 0), 20260808),
+               "n_random": (_within(int, lambda n: n >= 1), 50),
+               "window": (_window, None),
+               "shape": (_shape, (201, 201))}, {}),
+}
+
+# The blocks each subcommand reads besides hbar and states; the others are
+# checked only for their names.
+_BLOCKS = {"grid": ("grid",), "spots": ("spots",), "decohere": ("lindblad", "decohere"),
+           "invert": ("invert",), "check": ("check",)}
+
+
+def _checked(value, schema, where: str = ""):
+    """value with every key converted by schema (see SCHEMA), or ConfigError
+    naming the first bad path.  An absent key takes its default as it is."""
+    if isinstance(schema, list):
+        if not (isinstance(value, list) and value and len(schema) in (1, len(value))):
+            raise ConfigError(f"bad {where}: {value!r}")
+        return [_checked(v, schema[0], f"{where}[{k}]") for k, v in enumerate(value)]
+    if not isinstance(value, dict):
+        raise ConfigError(f"bad {where or 'config'}: {value!r}")
+    unknown = set(value) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-
-
-def _read(block: dict, key: str, where: str, convert, default=None):
-    """convert(block[key]), or convert(default) when the key is absent; a value
-    that convert cannot take raises ConfigError."""
-    value = block.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad {where}.{key}: {value!r}") from exc
-
-
-def _int_pair(v) -> tuple:
-    return int(v[0]), int(v[1])
-
-
-def _vector(v) -> np.ndarray:
-    out = np.asarray(v, dtype=float)
-    if out.shape != (2,):
-        raise ValueError(f"expected two numbers, got {v!r}")
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {where or 'config'}")
+    out = {}
+    for key, (convert, default) in schema.items():
+        path = f"{where}.{key}" if where else key
+        if key not in value and default is REQUIRED:
+            raise ConfigError(f"bad {path}: missing")
+        if isinstance(convert, (dict, list)):
+            out[key] = _checked(value.get(key, default), convert, path)
+        elif key not in value:
+            out[key] = default
+        else:
+            try:
+                out[key] = convert(value[key])
+            except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+                raise ConfigError(f"bad {path}: {value[key]!r}") from exc
     return out
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, subcommand: str) -> dict:
+    """The config at path, checked for what subcommand reads."""
     try:
         with open(path, "r") as fh:
             cfg = json.load(fh)
@@ -95,75 +204,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(cfg, {"hbar", "states", "lindblad", "grid", "spots",
-                        "decohere", "invert", "check"}, "config")
-    if "hbar" not in cfg or "states" not in cfg:
-        raise ConfigError("config needs at least 'hbar' and 'states'")
-    return cfg
-
-
-def _complex_amplitude(a) -> complex:
-    if isinstance(a, (int, float)):
-        return complex(a)
-    if isinstance(a, (list, tuple)) and len(a) == 2:
-        return complex(float(a[0]), float(a[1]))
-    raise ValueError(f"amplitude must be a number or [re, im], got {a!r}")
+    reads = ("hbar", "states") + _BLOCKS[subcommand]
+    return _checked(cfg, {key: entry if key in reads else (lambda v: v, None)
+                          for key, entry in SCHEMA.items()})
 
 
 def _state_from_config(cfg: dict) -> Superposition:
-    try:
-        hbar = float(cfg["hbar"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hbar: {cfg['hbar']!r}") from exc
-    entries = cfg["states"]
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("'states' must be a non-empty list")
-    terms = []
-    for k, entry in enumerate(entries):
-        where = f"states[{k}]"
-        _require_keys(entry, {"amplitude", "center", "frame"}, where)
-        if "amplitude" not in entry or "center" not in entry:
-            raise ConfigError(f"{where} needs 'amplitude' and 'center'")
-        amp = _read(entry, "amplitude", where, _complex_amplitude)
-        center = _read(entry, "center", where, _vector)
-        frame = _read(entry, "frame", where,
-                      lambda v: np.eye(2) if v is None else np.asarray(v, dtype=float))
-        terms.append((amp, GaussianState(center, frame)))
-    return normalize(Superposition(hbar, tuple(terms)))
-
-
-def _lindblad_from_config(cfg: dict) -> LindbladModel:
-    block = cfg.get("lindblad")
-    if block is None:
-        raise ConfigError("this subcommand needs a 'lindblad' block")
-    _require_keys(block, {"h", "couplings"}, "lindblad")
-    h = _read(block, "h", "lindblad", lambda v: np.asarray(v, dtype=float),
-              [[0.0, 0.0], [0.0, 0.0]])
-    couplings = []
-    for k, c in enumerate(_read(block, "couplings", "lindblad", list, [])):
-        where = f"lindblad.couplings[{k}]"
-        if not isinstance(c, dict):
-            raise ConfigError(f"bad {where}: {c!r}")
-        _require_keys(c, {"re", "im"}, where)
-        re = _read(c, "re", where, _vector, [0.0, 0.0])
-        im = _read(c, "im", where, _vector, [0.0, 0.0])
-        couplings.append(re + 1j * im)
-    if not couplings:
-        raise ConfigError("lindblad block needs at least one coupling")
-    return LindbladModel(h, tuple(couplings))
-
-
-def _window_from(block: dict, key: str = "window"):
-    win = block.get(key)
-    if win is None:
-        raise ConfigError(f"missing '{key}'")
-    try:
-        (plo, phi), (qlo, qhi) = win
-        return ((float(plo), float(phi)), (float(qlo), float(qhi)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key}: {win!r}") from exc
+    return normalize(Superposition(cfg["hbar"], tuple(
+        (s["amplitude"], GaussianState(s["center"], s["frame"])) for s in cfg["states"])))
 
 
 def _meta_lines(cfg: dict, subcommand: str) -> list:
@@ -177,17 +225,8 @@ def _meta_lines(cfg: dict, subcommand: str) -> list:
 
 def cmd_grid(cfg: dict, out: IO[str]) -> int:
     state = _state_from_config(cfg)
-    block = cfg.get("grid")
-    if block is None:
-        raise ConfigError("grid subcommand needs a 'grid' block")
-    _require_keys(block, {"kind", "window", "shape"}, "grid")
-    kind = block.get("kind")
-    if kind not in ("chord", "wigner", "corr"):
-        raise ConfigError(f"grid.kind must be chord, wigner or corr, got {kind!r}")
-    window = _window_from(block)
-    rows, cols = _read(block, "shape", "grid", _int_pair)
-    if rows < 2 or cols < 2:
-        raise ConfigError(f"bad grid.shape: {rows} x {cols}, need at least 2 x 2")
+    block = cfg["grid"]
+    kind, window, (rows, cols) = block["kind"], block["window"], block["shape"]
 
     ap, aq = grid_axes(window, (rows, cols))
     if kind == "wigner":
@@ -220,12 +259,8 @@ def cmd_grid(cfg: dict, out: IO[str]) -> int:
 
 def cmd_spots(cfg: dict, out: IO[str]) -> int:
     state = _state_from_config(cfg)
-    block = cfg.get("spots", {})
-    _require_keys(block, {"window", "grid_step", "tol", "k_range", "max_iter"}, "spots")
-    tol = _read(block, "tol", "spots", float, 1e-12)
-    max_iter = _read(block, "max_iter", "spots", int, 50)
-    k_range = _read(block, "k_range", "spots", lambda kr: (_int_pair(kr[0]), _int_pair(kr[1])),
-                    ((-2, 2), (-2, 2)))
+    block = cfg["spots"]
+    tol, max_iter = block["tol"], block["max_iter"]
 
     lines = _meta_lines(cfg, "spots")
     lines.append("# triangle sides = |a_n|^2 (closure contract)")
@@ -237,7 +272,7 @@ def cmd_spots(cfg: dict, out: IO[str]) -> int:
     weights = model.weights
     if len(state) == 3:
         try:
-            lattice = hexagonal_lattice(model, k_range)
+            lattice = hexagonal_lattice(model, block["k_range"])
             plus, minus = lattice.angles
             lines.append(f"# theta_plus = {_fmt(plus.theta1)} {_fmt(plus.theta2)}")
             lines.append(f"# theta_minus = {_fmt(minus.theta1)} {_fmt(minus.theta2)}")
@@ -259,11 +294,9 @@ def cmd_spots(cfg: dict, out: IO[str]) -> int:
     else:
         if len(state) == 2 and abs(weights[0] - weights[1]) > 1e-12:
             note = "no closure: unequal cat weights leave no blind spots"
-        win = _window_from(block) if "window" in block else None
-        if win is None:
-            r = 3.0 * np.sqrt(state.hbar)
-            win = ((-r, r), (-r, r))
-        step = _read(block, "grid_step", "spots", float, np.sqrt(state.hbar) / 15.0)
+        r = 3.0 * np.sqrt(state.hbar)
+        win = block["window"] or ((-r, r), (-r, r))
+        step = block["grid_step"] or np.sqrt(state.hbar) / 15.0
         for spot in find_spots_generic(state, win, step, tol=tol, max_iter=max_iter):
             rows.append((spot, None, None, ""))
 
@@ -300,40 +333,27 @@ def _auto_line_spot(state, line_point, line_dir):
 
 def cmd_decohere(cfg: dict, out: IO[str]) -> int:
     state = _state_from_config(cfg)
-    model = _lindblad_from_config(cfg)
-    block = cfg.get("decohere")
-    if block is None:
-        raise ConfigError("decohere subcommand needs a 'decohere' block")
-    _require_keys(block, {"line", "s_range", "n_samples", "times", "epsilon",
-                          "spot", "summary", "t_max", "positivity_tol"}, "decohere")
-    for key in ("line", "s_range", "n_samples", "times"):
-        if key not in block:
-            raise ConfigError(f"decohere block needs '{key}'")
-    line_block = _read(block, "line", "decohere", dict)
-    _require_keys(line_block, {"point", "direction"}, "decohere.line")
-    point = _read(line_block, "point", "decohere.line", _vector)
-    direction = _read(line_block, "direction", "decohere.line", _vector)
+    lindblad, block = cfg["lindblad"], cfg["decohere"]
+    model = LindbladModel(lindblad["h"], tuple(c["re"] + 1j * c["im"]
+                                               for c in lindblad["couplings"]))
+    point, direction = block["line"]["point"], block["line"]["direction"]
     direction = direction / np.hypot(*direction)
-    spot_cfg = _read(block, "spot", "decohere", lambda v: None if v is None else _vector(v))
-    times = _read(block, "times", "decohere", lambda v: [float(t) for t in v])
-    s_range = _read(block, "s_range", "decohere", lambda v: (float(v[0]), float(v[1])))
-    n_samples = _read(block, "n_samples", "decohere", int)
+    times = block["times"]
 
-    series = scan_line(state, model, (point, direction), s_range, n_samples, times)
+    series = scan_line(state, model, (point, direction), block["s_range"], block["n_samples"],
+                       times)
 
     lines = _meta_lines(cfg, "decohere")
     lines.append(f"# alpha = {_fmt(dissipation_coeff(model))}")
     lines.append(f"# line_point = {_fmt(point[0])} {_fmt(point[1])}")
     lines.append(f"# line_direction = {_fmt(direction[0])} {_fmt(direction[1])}")
 
-    want_summary = block.get("summary", True) and len(state) == 3
-    if want_summary and len(times) > 1 and times[0] == 0.0:
-        spot = spot_cfg if spot_cfg is not None else _auto_line_spot(state, point, direction)
-        lift = lifting_time(series, spot, _read(block, "epsilon", "decohere", float, 1e-3))
-        t_p = positivity_time(state, model,
-                              t_max=_read(block, "t_max", "decohere",
-                                          lambda v: None if v is None else float(v)),
-                              tol=_read(block, "positivity_tol", "decohere", float, 0.0))
+    if block["summary"] and len(state) == 3 and len(times) > 1 and times[0] == 0.0:
+        spot = block["spot"]
+        if spot is None:
+            spot = _auto_line_spot(state, point, direction)
+        lift = lifting_time(series, spot, block["epsilon"])
+        t_p = positivity_time(state, model, t_max=block["t_max"], tol=block["positivity_tol"])
         centers = state.centers
         area = 0.5 * abs(skew(centers[1] - centers[0], centers[2] - centers[0]))
         ratio = lift.tau_l * area / (state.hbar * t_p)
@@ -354,33 +374,15 @@ def cmd_decohere(cfg: dict, out: IO[str]) -> int:
 
 def cmd_invert(cfg: dict, out: IO[str]) -> int:
     state = _state_from_config(cfg)
-    block = cfg.get("invert")
-    if block is None:
-        raise ConfigError("invert subcommand needs an 'invert' block")
-    _require_keys(block, {"branch", "spots"}, "invert")
-    branch = block.get("branch", "plus")
-    if branch not in ("plus", "minus"):
-        raise ConfigError(f"invert.branch must be 'plus' or 'minus', got {branch!r}")
-    spots_cfg = block.get("spots")
-    if not isinstance(spots_cfg, list) or len(spots_cfg) != 2:
-        raise ConfigError("invert.spots must list exactly two measured spots")
+    branch = cfg["invert"]["branch"]
     if len(state) != 3:
         raise ConfigError("the inverse problem needs a three-state superposition")
 
     plus, minus = triangle_close(*DiffractionModel.from_superposition(state).weights)
     angles = plus if branch == "plus" else minus
 
-    measured = []
-    for k, sp in enumerate(spots_cfg):
-        where = f"invert.spots[{k}]"
-        if not isinstance(sp, dict):
-            raise ConfigError(f"bad {where}: {sp!r}")
-        _require_keys(sp, {"xi", "k"}, where)
-        if "xi" not in sp or "k" not in sp:
-            raise ConfigError(f"{where} needs 'xi' and 'k'")
-        measured.append((_read(sp, "xi", where, _vector), *_read(sp, "k", where, _int_pair)))
-
-    eta1, eta2 = recover_centers(angles, measured[0], measured[1], float(cfg["hbar"]))
+    spot_a, spot_b = ((sp["xi"], *sp["k"]) for sp in cfg["invert"]["spots"])
+    eta1, eta2 = recover_centers(angles, spot_a, spot_b, cfg["hbar"])
     lines = _meta_lines(cfg, "invert")
     lines.append(f"# branch = {branch}")
     lines.append(f"# theta = {_fmt(angles.theta1)} {_fmt(angles.theta2)}")
@@ -392,11 +394,10 @@ def cmd_invert(cfg: dict, out: IO[str]) -> int:
 
 
 def cmd_check(cfg: dict, out: IO[str]) -> int:
-    block = cfg.get("check", {})
-    _require_keys(block, {"seed", "n_random", "window", "shape"}, "check")
+    block = cfg["check"]
     state = _state_from_config(cfg)
-    rng = np.random.default_rng(_read(block, "seed", "check", int, 20260808))
-    n_random = _read(block, "n_random", "check", int, 50)
+    rng = np.random.default_rng(block["seed"])
+    n_random = block["n_random"]
     results = []
 
     def record(name: str, ok: bool, detail: str):
@@ -427,10 +428,8 @@ def cmd_check(cfg: dict, out: IO[str]) -> int:
         trans = max(trans, abs(abs(overlap(state, shifted)) - abs(chord_exact(state, x))))
     record("translate: overlap modulus = |chi|", trans <= 1e-10, f"max dev = {trans:.3e}")
 
-    if "window" in block:
-        window = _window_from(block)
-        shape = _read(block, "shape", "check", _int_pair, (201, 201))
-        grid = correlation_grid(state, window, shape)
+    if block["window"] is not None:
+        grid = correlation_grid(state, block["window"], block["shape"])
         require_adequate(grid.values)  # raises WindowTooSmall -> exit 3
         ft = fourier_2d(grid, state.hbar)
         dev = float(np.max(np.abs(ft.values - grid.values)) / np.max(np.abs(grid.values)))
@@ -470,7 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.subcommand)
         if args.out is None:
             return _COMMANDS[args.subcommand](cfg, sys.stdout)
         with open(args.out, "w", newline="\n") as fh:

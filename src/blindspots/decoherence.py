@@ -18,9 +18,8 @@ convolved with a normalized Gaussian of covariance -4 hbar J M_t J; both the
 correlation and the evolving Wigner function stay finite sums of complex
 Gaussians, evaluated here in closed form.  The chord terms are held as arrays
 (mu, c0, b, C); the flow transports them, M_t damps them (C - M_t / hbar),
-and the Fourier map (for W_t) and the convolution (for C, on all pairs of
-terms) take them to new arrays of the same form, which chord.gaussian_sum
-evaluates.
+and the symplectic Fourier map takes them (for W_t), or all pairs of them
+(for C), to new arrays of the same form, which chord.gaussian_sum evaluates.
 """
 
 from __future__ import annotations
@@ -127,11 +126,12 @@ def propagator_matrix(hamiltonian, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecoherenceGaussian:
-    """Calibrated Gaussian decoherence factor exp(-xi . M xi / hbar)."""
+    """Calibrated Gaussian decoherence factor exp(-xi . M xi / hbar), with det M."""
 
     t: float
     m: np.ndarray
     hbar: float
+    det: float
 
 
 _SERIES_X = 1.0     # |x| = 4 |det A| t^2 below which the flow integrals use their series
@@ -161,18 +161,27 @@ def _flow_integrals(x: float, t: float) -> Tuple[float, float, float]:
     return 0.5 * t * (1.0 + f1), t * t * f2, 2.0 * t ** 3 * f3
 
 
-def _hyperbolic_m(a: np.ndarray, c: np.ndarray, kappa: float, t: float) -> np.ndarray:
-    """M_t for eigenvalues +-kappa of A: R_{-s} = e^{-kappa s} P+ + e^{kappa s} P-
-    with P+- = (I +- A/kappa)/2, integrated piece by piece.  The cosh/sinh form
-    would cancel two terms of size e^{2 kappa t} whenever the growing piece
-    P-^T C P- vanishes."""
+def _hyperbolic_m(a: np.ndarray, c: np.ndarray, kappa: float,
+                  t: float) -> Tuple[np.ndarray, float]:
+    """M_t and det M_t for eigenvalues +-kappa of A: R_{-s} = e^{-kappa s} P+
+    + e^{kappa s} P- with P+- = (I +- A/kappa)/2, integrated piece by piece.
+    The cosh/sinh form would cancel two terms of size e^{2 kappa t} whenever
+    the growing piece P-^T C P- vanishes.
+
+    With the rank-one pieces D = P+^T C P+ and G = P-^T C P- and the mixed
+    S = P+^T C P- + P-^T C P+, M_t = (decay D + rate G + t S) / 2.  In the
+    eigenbasis of A, D and G are diagonal and S is off-diagonal, so
+    det M_t = (decay rate tr(adj(D) G) + t^2 det S) / 4.  The determinant of
+    the assembled M_t, nearly rank one once kappa t is large, would cancel."""
     p_plus = 0.5 * (np.eye(2) + a / kappa)
     p_minus = np.eye(2) - p_plus
     decaying = p_plus.T @ c @ p_plus
     growing = p_minus.T @ c @ p_minus
     mixed = p_plus.T @ c @ p_minus
-    m = 0.5 * (-math.expm1(-2.0 * kappa * t) / (2.0 * kappa) * decaying
-               + t * (mixed + mixed.T))
+    decay = -math.expm1(-2.0 * kappa * t) / (2.0 * kappa)
+    sym = mixed + mixed.T
+    m = 0.5 * (decay * decaying + t * sym)
+    det = (0.5 * t) ** 2 * (sym[0, 0] * sym[1, 1] - sym[0, 1] * sym[1, 0])
     if np.any(growing):
         try:
             rate = math.expm1(2.0 * kappa * t) / (2.0 * kappa)
@@ -180,7 +189,11 @@ def _hyperbolic_m(a: np.ndarray, c: np.ndarray, kappa: float, t: float) -> np.nd
             raise NumericalError(f"M_t overflows at t = {t}") from None
         with np.errstate(over="ignore"):
             m = m + 0.5 * rate * growing
-    return m
+            det += 0.25 * decay * rate * (decaying[0, 0] * growing[1, 1]
+                                          + decaying[1, 1] * growing[0, 0]
+                                          - decaying[0, 1] * growing[1, 0]
+                                          - decaying[1, 0] * growing[0, 1])
+    return m, float(det)
 
 
 def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> DecoherenceGaussian:
@@ -193,9 +206,9 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
     with scalar integrals in x = -4 t^2 det A (elliptic, parabolic,
     near-parabolic; see _flow_integrals).  A hyperbolic flow with x >= 1 is split
     into its spectral projectors instead, so that a coupling along the stable
-    direction gives a bounded M_t at every t.  For H = 0 the Gaussian factor
-    solves the chord master equation exactly: M_t = (t/2) C.  A t at which
-    M_t overflows raises NumericalError.
+    direction gives a bounded M_t at every t, and det M_t is taken from those
+    pieces.  For H = 0 the Gaussian factor solves the chord master equation
+    exactly: M_t = (t/2) C.  A t at which M_t overflows raises NumericalError.
     """
     _require_nondissipative(model)
     if not math.isfinite(t):
@@ -203,13 +216,14 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
     if t < 0:
         raise NegativeTime(f"t = {t}")
     if t == 0:
-        return DecoherenceGaussian(0.0, np.zeros((2, 2)), hbar)
+        return DecoherenceGaussian(0.0, np.zeros((2, 2)), hbar, 0.0)
     c = model.coupling_matrix()
     a = 2.0 * (J @ model.hamiltonian)
     d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     x = -4.0 * d * t * t
+    det = None
     if x >= _SERIES_X:
-        m = _hyperbolic_m(a, c, math.sqrt(-d), t)
+        m, det = _hyperbolic_m(a, c, math.sqrt(-d), t)
     else:
         i_cc, i_cs, i_ss = _flow_integrals(x, t)
         ac = a.T @ c
@@ -217,27 +231,23 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
     if not np.all(np.isfinite(m)):
         raise NumericalError(f"M_t overflows at t = {t}")
     m = 0.5 * (m + m.T)
-    return DecoherenceGaussian(float(t), m, hbar)
+    if det is None:
+        det = float(np.linalg.det(m))
+    return DecoherenceGaussian(float(t), m, hbar, det)
 
 
-def _evolved_terms(state: Superposition, model: LindbladModel, t: float):
-    """The state's chord terms (mu[K], c0[K], b[K, 2], C[K, 2, 2]) transported
-    by the classical flow R_{-t}, and the DecoherenceGaussian of M_t, after the
-    checks that every evolved quantity needs."""
+def _damped_terms(state: Superposition, model: LindbladModel, t: float):
+    """chi_t as terms: the state's chord terms (mu[K], c0[K], b[K, 2],
+    C[K, 2, 2]) transported by the classical flow R_{-t}, with C' - M_t / hbar,
+    after the checks that every evolved quantity needs."""
     _require_nondissipative(model)
     if t < 0:
         raise NegativeTime(f"t = {t}")
     require_normalized(state)
     r_back = propagator_matrix(model.hamiltonian, -t)
     mu, c0, b, c = state.chord_terms
-    gauss = decoherence_matrix(model, t, hbar=state.hbar)
-    return (mu, c0, b @ r_back, r_back.T @ c @ r_back), gauss
-
-
-def _damped_terms(state: Superposition, model: LindbladModel, t: float):
-    """chi_t as terms: the transported chord terms with C' - M_t / hbar."""
-    (mu, c0, b, c), gauss = _evolved_terms(state, model, t)
-    return mu, c0, b, c - gauss.m / state.hbar
+    m = decoherence_matrix(model, t, hbar=state.hbar).m
+    return mu, c0, b @ r_back, r_back.T @ c @ r_back - m / state.hbar
 
 
 def evolved_chord(state: Superposition, model: LindbladModel, xi, t: float) -> complex:
@@ -277,42 +287,27 @@ def smoothing_covariance(gauss: DecoherenceGaussian) -> np.ndarray:
 
 def correlation_evolved_points(state: Superposition, model: LindbladModel,
                                points: np.ndarray, t: float) -> np.ndarray:
-    """C(xi, t) at arbitrary chord points, by exact Gaussian convolution.
+    """C(xi, t) = F[|chi_t|^2] at arbitrary chord points, in closed form.
 
-    |chi_u|^2 is its own symplectic Fourier transform (the state stays pure
-    under the unitary part), so C(., t) is |chi_u|^2 convolved with the
-    normalized Gaussian Sigma of covariance -4 hbar J M_t J.  |chi_u|^2 is a
-    sum over all pairs (k, l) of chord terms of mu exp(c0 + b.x + x.C x), and
-    the convolution maps each to another Gaussian in x: with
-    D = I - 2 Sigma C and G = D^{-1} Sigma, the weight becomes mu / sqrt(det D),
-    c0 + b.G b / 2, b + 2 C G b and C + 2 C G C.  All pairs are folded at once
-    as arrays and the result is summed like any other Gaussian sum.
+    |chi_t|^2 is a sum over all pairs (k, l) of damped chord terms of
+    mu_k mu_l* exp(E_k + E_l*), again a Gaussian sum, and fourier_terms maps
+    it term by term to its symplectic Fourier transform (divided by
+    2 pi hbar).
     """
-    (mu, c0, b, c), gauss = _evolved_terms(state, model, t)
-    sigma = smoothing_covariance(gauss)
+    mu, c0, b, c = _damped_terms(state, model, t)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
 
     # all K^2 pairs, not half of them: the imaginary-part check below relies on
-    # conjugate pairs cancelling, which a wrong branch of sqrt(det D) would break
+    # conjugate pairs cancelling, which a wrong branch of sqrt(det C) would break
     mu = np.multiply.outer(mu, np.conj(mu)).ravel()
     keep = mu != 0
-    mu = mu[keep]
-    c0 = np.add.outer(c0, np.conj(c0)).ravel()[keep]
-    b = (b[:, None] + np.conj(b)[None, :]).reshape(-1, 2)[keep]
-    c = (c[:, None] + np.conj(c)[None, :]).reshape(-1, 2, 2)[keep]
-
-    d = np.eye(2) - 2.0 * (sigma @ c)
-    det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-    g = np.linalg.solve(d, sigma)
-    g = 0.5 * (g + g.swapaxes(1, 2))
-    gb = (g @ b[:, :, None])[:, :, 0]
-    c_folded = c + 2.0 * (c @ g @ c)
-    terms = (mu / np.sqrt(det), c0 + 0.5 * np.sum(b * gb, axis=1),
-             b + 2.0 * (c @ gb[:, :, None])[:, :, 0],
-             0.5 * (c_folded + c_folded.swapaxes(1, 2)))
-    total = gaussian_sum(terms, pts[:, 0], pts[:, 1])
+    pairs = (mu[keep], np.add.outer(c0, np.conj(c0)).ravel()[keep],
+             (b[:, None] + np.conj(b)[None, :]).reshape(-1, 2)[keep],
+             (c[:, None] + np.conj(c)[None, :]).reshape(-1, 2, 2)[keep])
+    h = state.hbar
+    total = 2.0 * math.pi * h * gaussian_sum(fourier_terms(pairs, h), pts[:, 0], pts[:, 1])
 
     if np.max(np.abs(total.imag)) > 1e-9 * max(1.0, np.max(np.abs(total))):
         raise NumericalError("evolved correlation left an imaginary part")
@@ -509,7 +504,7 @@ def husimi_time(model: LindbladModel) -> float:
             return math.inf
 
     def reached(t: float) -> bool:
-        return float(np.linalg.det(decoherence_matrix(model, t).m)) >= HUSIMI_DET
+        return decoherence_matrix(model, t).det >= HUSIMI_DET
 
     start = 1.0 / float(np.trace(c))
     det_a = abs(float(np.linalg.det(a)))

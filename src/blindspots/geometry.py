@@ -37,6 +37,19 @@ def skew(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
+def skew_solver(a: np.ndarray, b: np.ndarray, degenerate: Exception):
+    """solve(r1, r2) -> the x with skew(a, x) = r1 and skew(b, x) = r2, by
+    Cramer's rule.  Raises `degenerate` when a and b are parallel to 1e-12
+    relative, which includes either of them being zero."""
+    det = skew(a, b)
+    if abs(det) <= 1e-12 * np.hypot(*a) * np.hypot(*b):
+        raise degenerate
+
+    def solve(r1: float, r2: float) -> np.ndarray:
+        return np.array([(b[0] * r1 - a[0] * r2) / det, (b[1] * r1 - a[1] * r2) / det])
+    return solve
+
+
 def check_symplectic(s, tol: float = SYMPLECTIC_DET_TOL) -> np.ndarray:
     """Validate a 2x2 real matrix with unit determinant."""
     m = np.asarray(s, dtype=float)

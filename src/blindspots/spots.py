@@ -27,7 +27,7 @@ from .errors import (
 )
 from .chord import chord_values, gaussian_gradient, gaussian_sum, require_normalized
 from .fields import FieldGrid
-from .geometry import as_phase_vector, skew
+from .geometry import as_phase_vector, skew_solver
 from .states import Superposition
 
 TWO_PI = 2.0 * math.pi
@@ -163,21 +163,14 @@ def triangle_close(w0: float, w1: float, w2: float) -> Tuple[TriangleAngles, Tri
 def sublattice_nodes(angles: TriangleAngles, eta1, eta2, hbar: float,
                      k_range: Tuple[Tuple[int, int], Tuple[int, int]]) -> List[Tuple[np.ndarray, int, int]]:
     """Solve skew(eta_n, xi) = hbar (theta_n + 2 pi k_n) over an index box."""
-    e1 = as_phase_vector(eta1, "eta1")
-    e2 = as_phase_vector(eta2, "eta2")
-    det = skew(e1, e2)
-    if abs(det) < 1e-12 * np.hypot(*e1) * np.hypot(*e2):
-        raise DegenerateGeometry("lattice centers are collinear with the origin")
-
+    solve = skew_solver(as_phase_vector(eta1, "eta1"), as_phase_vector(eta2, "eta2"),
+                        DegenerateGeometry("lattice centers are collinear with the origin"))
     (k1lo, k1hi), (k2lo, k2hi) = k_range
     out = []
     for k1 in range(int(k1lo), int(k1hi) + 1):
         r1 = hbar * (angles.theta1 + TWO_PI * k1)
         for k2 in range(int(k2lo), int(k2hi) + 1):
-            r2 = hbar * (angles.theta2 + TWO_PI * k2)
-            xi_p = (e2[0] * r1 - e1[0] * r2) / det
-            xi_q = (e2[1] * r1 - e1[1] * r2) / det
-            out.append((np.array([xi_p, xi_q]), k1, k2))
+            out.append((solve(r1, hbar * (angles.theta2 + TWO_PI * k2)), k1, k2))
     return out
 
 
@@ -189,15 +182,7 @@ def hexagonal_lattice(model: DiffractionModel,
         raise WrongArity(f"lattice prediction needs exactly 3 states, got {len(model.weights)}")
     plus, minus = triangle_close(*model.weights)
     e1, e2 = model.centers[1], model.centers[2]
-
-    det = skew(e1, e2)
-    if abs(det) < 1e-12 * np.hypot(*e1) * np.hypot(*e2):
-        raise DegenerateGeometry("triplet centers are collinear")
-
-    def solve(r1: float, r2: float) -> np.ndarray:
-        return np.array([(e2[0] * r1 - e1[0] * r2) / det,
-                         (e2[1] * r1 - e1[1] * r2) / det])
-
+    solve = skew_solver(e1, e2, DegenerateGeometry("triplet centers are collinear"))
     basis = (solve(model.hbar * TWO_PI, 0.0), solve(0.0, model.hbar * TWO_PI))
     nodes: List[LatticeNode] = []
     offsets = []
@@ -434,17 +419,12 @@ def recover_centers(angles: TriangleAngles, spot_a, spot_b, hbar: float):
 
     xi_a, k1a, k2a = unpack(spot_a)
     xi_b, k1b, k2b = unpack(spot_b)
-    det = skew(xi_a, xi_b)
-    if abs(det) < 1e-12 * np.hypot(*xi_a) * np.hypot(*xi_b):
-        raise DegenerateSpots("measured chords are parallel")
-
+    solve = skew_solver(xi_a, xi_b, DegenerateSpots("measured chords are parallel or zero"))
     thetas = (angles.theta1, angles.theta2)
     ks = ((k1a, k1b), (k2a, k2b))
     etas = []
     for theta, (ka, kb) in zip(thetas, ks):
         sa = hbar * (theta + TWO_PI * ka)
         sb = hbar * (theta + TWO_PI * kb)
-        eta_p = (-xi_b[0] * sa + xi_a[0] * sb) / det
-        eta_q = (-xi_b[1] * sa + xi_a[1] * sb) / det
-        etas.append(np.array([eta_p, eta_q]))
+        etas.append(solve(-sa, -sb))
     return etas[0], etas[1]

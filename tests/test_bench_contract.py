@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from tracing import TARGETS  # noqa: E402
 
+from blindspots import cli  # noqa: E402
 from blindspots.cli import main  # noqa: E402
 
 
@@ -36,6 +37,9 @@ BENCH_CONFIG = {
 @pytest.mark.parametrize("sub", ["grid", "spots", "decohere", "invert", "check"])
 def test_cli_accepts_bench_argv(tmp_path, sub):
     """bench/workloads.py runs every job as [sub, cfg, "--out", path, "--threads", "1"]."""
+    # the tracer finds cmd_* by identity in cli._COMMANDS; anything else in
+    # that table would hide the CLI spans
+    assert cli._COMMANDS[sub] is getattr(cli, f"cmd_{sub}")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(BENCH_CONFIG))
     out = tmp_path / "out.csv"

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from blindspots.cli import main
 from conftest import COMPACT_CENTERS, OBLIQUE_CENTERS, HBAR
@@ -256,6 +257,10 @@ def valid_config(subcommand):
                                    {"xi": [0.1, 0.4], "k": [1, 0]}]}
     elif subcommand == "check":
         cfg["check"] = {"n_random": 3}
+    elif subcommand == "spots":
+        # four terms: a generic scan, which reads spots.window and grid_step
+        cfg = base_config([(0.0, 0.0), (0.4, 0.0), (0.0, 0.4), (0.4, 0.4)])
+        cfg["spots"] = {"k_range": [[-1, 1], [-1, 1]]}
     else:
         cfg["spots"] = {"k_range": [[-1, 1], [-1, 1]]}
     return cfg
@@ -279,6 +284,20 @@ def valid_config(subcommand):
     ("spots", "spots", 5),
     ("check", "check", 5),
     ("decohere", "lindblad", 5),
+    ("check", "n_random", 0),
+    ("check", "n_random", -1),
+    ("check", "seed", -1),
+    ("check", "check", {"window": [[-4.8, 4.8], [-4.8, 4.8]], "shape": [-5, 3]}),
+    ("grid", "shape", {}),
+    ("check", "shape", {}),
+    ("spots", "k_range", {}),
+    ("decohere", "s_range", {}),
+    ("invert", "invert.spots[0].k", {}),
+    ("decohere", "line", [["a", 1], [1, 2]]),
+    ("spots", "grid_step", 0),
+    ("spots", "k_range", [[2, -2], [-1, 1]]),
+    ("decohere", "line.direction", [0, 0]),
+    ("decohere", "s_range", [0.0, float("inf")]),  # written as Infinity
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, subcommand, key, value):
     # a key that starts with a top-level name of the config is a path from the
@@ -298,3 +317,55 @@ def test_malformed_value_exits_2(tmp_path, capsys, subcommand, key, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: bad {where}")
+
+
+def test_invert_zero_spot_is_degenerate(tmp_path):
+    cfg = valid_config("invert")
+    cfg["invert"]["spots"][0]["xi"] = [0.0, 0.0]
+    assert main(["invert", write_config(tmp_path, "zero.json", cfg)]) == 3
+
+
+def test_spots_coincident_centers_are_degenerate(tmp_path, capsys):
+    cfg = base_config([(0.0, 0.0), (0.0, 0.0), (0.0, 3.0)])
+    assert main(["spots", write_config(tmp_path, "same.json", cfg)]) == 3
+    assert "collinear" in capsys.readouterr().err
+
+
+def _leaves(node, path=()):
+    """Paths to the numbers, strings, booleans and nulls of a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+# small values only: a size limit is not part of the config format, and a
+# bound like 1e308 would make a lattice or a grid as large as it says
+_LEAF_VALUES = st.one_of(
+    st.integers(-10, 10), st.integers(-100, 100).map(lambda k: k / 10), st.booleans(),
+    st.none(), st.sampled_from(["", "x", "plus", "chord"]),
+    st.lists(st.integers(-10, 10), max_size=3), st.just({}))
+
+_FUZZ_CONFIGS = [(sub, valid_config(sub))
+                 for sub in ("grid", "spots", "decohere", "invert", "check")]
+_FUZZ_CONFIGS.append(("spots", base_config()))  # a triplet: lattice prediction
+
+
+@pytest.mark.parametrize("subcommand, valid", _FUZZ_CONFIGS,
+                         ids=[f"{sub}-{len(cfg['states'])}" for sub, cfg in _FUZZ_CONFIGS])
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_config_exits_cleanly(tmp_path, subcommand, valid, data):
+    # one leaf of a valid config replaced by another JSON value: the CLI
+    # answers with an exit code, never with an exception
+    cfg = json.loads(json.dumps(valid))
+    *parents, name = data.draw(st.sampled_from(list(_leaves(cfg))))
+    block = cfg
+    for part in parents:
+        block = block[part]
+    block[name] = data.draw(_LEAF_VALUES)
+    path = write_config(tmp_path, "fuzz.json", cfg)
+    assert main([subcommand, path, "--out", str(tmp_path / "fuzz.csv")]) in (0, 2, 3)

@@ -225,6 +225,17 @@ def test_husimi_time_fast_elliptic():
     assert 16.0 * np.linalg.det(decoherence_matrix(FAST_ELLIPTIC, th).m) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("strength, t_ref", [
+    (1e-2, 18.109110677651127), (1e-4, 35.5150162443933),
+    (1e-6, 52.92092346904118), (1e-8, 70.32683069368912)])
+def test_husimi_time_weak_coupling_nearly_rank_one(strength, t_ref):
+    # M_t is nearly rank one once kappa t is large, so det of it cancels; the
+    # references bisect det N = N++ N-- - N+-^2 on M_t in the eigenbasis of 2 J H
+    model = LindbladModel(np.array([[0.3, 0.2], [0.2, -0.1]]),
+                          (strength * np.array([1.0, 0.3]),))
+    assert husimi_time(model) == pytest.approx(t_ref, rel=1e-9)
+
+
 def test_evolved_chord_zero_time(corner_triplet, pq_model):
     xi = (0.1, -0.07)
     assert evolved_chord(corner_triplet, pq_model, xi, 0.0) == pytest.approx(

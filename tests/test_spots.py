@@ -28,7 +28,7 @@ from blindspots import (
     triangle_close,
 )
 from blindspots import spots as spots_module
-from conftest import HBAR
+from conftest import HBAR, triplet
 
 
 def test_small_chord_at_origin(compact_triplet):
@@ -100,6 +100,13 @@ def test_sublattice_rejects_collinear_centers():
     angles = TriangleAngles(2 * np.pi / 3, 4 * np.pi / 3, "minus", (1 / 3, 1 / 3, 1 / 3))
     with pytest.raises(DegenerateGeometry):
         sublattice_nodes(angles, (1.0, 2.0), (2.0, 4.0), HBAR, ((0, 0), (0, 0)))
+
+
+def test_lattice_rejects_coincident_centers():
+    # a center on top of the first leaves a zero lattice vector
+    state = triplet([(0.0, 0.0), (0.0, 0.0), (0.0, 3.0)])
+    with pytest.raises(DegenerateGeometry):
+        hexagonal_lattice(DiffractionModel.from_superposition(state))
 
 
 def test_sublattice_oblique_node_count_and_closure(oblique_triplet):
@@ -324,6 +331,8 @@ def test_recover_centers_rejects_parallel_spots(corner_triplet):
     doubled = (2.0 * node.xi, node.k1, node.k2)
     with pytest.raises(DegenerateSpots):
         recover_centers(lattice.angles[0], node, doubled, HBAR)
+    with pytest.raises(DegenerateSpots):  # a zero chord is parallel to any other
+        recover_centers(lattice.angles[0], node, (np.zeros(2), 0, 0), HBAR)
 
 
 # -- structural invariants -------------------------------------------------
