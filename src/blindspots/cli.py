@@ -89,8 +89,28 @@ def _floats(shape):
     return array
 
 
+def _integer(v) -> int:
+    """A JSON number with no fractional part, as an int; never a boolean."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected an integer, got {v!r}")
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+MAX_LATTICE_NODES = 10 ** 6  # per sublattice, in a spots.k_range box
+
+
+def _index_box(kr) -> bool:
+    """An index box ((lo, hi), (lo, hi)) with lo <= hi and at most
+    MAX_LATTICE_NODES nodes, checked before any node is built."""
+    (k1lo, k1hi), (k2lo, k2hi) = kr
+    return k1lo <= k1hi and k2lo <= k2hi and (
+        (k1hi - k1lo + 1) * (k2hi - k2lo + 1) <= MAX_LATTICE_NODES)
+
+
 _real = _within(float, np.isfinite)
-_int_pair = _pair(int)
+_int_pair = _pair(_integer)
 _float_pair = _pair(_real)
 _vector = _floats((2,))
 _matrix = _floats((2, 2))
@@ -139,13 +159,12 @@ SCHEMA = {
     "spots": ({"window": (_window, None),
                "grid_step": (_within(_real, lambda s: s > 0), None),
                "tol": (_real, 1e-12),
-               "k_range": (_within(_pair(_int_pair), lambda kr: all(lo <= hi for lo, hi in kr)),
-                           ((-2, 2), (-2, 2))),
-               "max_iter": (int, 50)}, {}),
+               "k_range": (_within(_pair(_int_pair), _index_box), ((-2, 2), (-2, 2))),
+               "max_iter": (_integer, 50)}, {}),
     "decohere": ({"line": ({"point": (_vector, REQUIRED),
                             "direction": (_within(_vector, np.any), REQUIRED)}, REQUIRED),
                   "s_range": (_float_pair, REQUIRED),
-                  "n_samples": (int, REQUIRED),
+                  "n_samples": (_integer, REQUIRED),
                   "times": (_times, REQUIRED),
                   "epsilon": (_real, 1e-3),
                   "spot": (_optional(_vector), None),
@@ -154,8 +173,8 @@ SCHEMA = {
                   "positivity_tol": (_real, 0.0)}, REQUIRED),
     "invert": ({"branch": (_one_of("plus", "minus"), "plus"),
                 "spots": ([_INVERT_SPOT, _INVERT_SPOT], REQUIRED)}, REQUIRED),
-    "check": ({"seed": (_within(int, lambda n: n >= 0), 20260808),
-               "n_random": (_within(int, lambda n: n >= 1), 50),
+    "check": ({"seed": (_within(_integer, lambda n: n >= 0), 20260808),
+               "n_random": (_within(_integer, lambda n: n >= 1), 50),
                "window": (_window, None),
                "shape": (_shape, (201, 201))}, {}),
 }

@@ -20,6 +20,17 @@ Gaussians, evaluated here in closed form.  The chord terms are held as arrays
 (mu, c0, b, C); the flow transports them, M_t damps them (C - M_t / hbar),
 and the symplectic Fourier map takes them (for W_t), or all pairs of them
 (for C), to new arrays of the same form, which chord.gaussian_sum evaluates.
+
+For C the K^2 pairs need not be formed one by one when every damped term has
+the same quadratic part C (identity frames under any H and couplings, since
+transport and damping keep equal C equal).  With S = (C + C*)^-1 the Fourier
+exponent of pair (k, l) is A_k(x) + B_l(x) + Gamma_kl + g(x), so the sum is
+the bilinear form e^g u.(W v) with u = mu e^A, v = mu* e^B and W = e^Gamma:
+K exps per point and one matrix product instead of K^2 exps per point.  It is
+used only while every real part of A, B, Gamma and g lies within +-230, where
+no product of three factors overflows or turns subnormal; otherwise (small
+hbar with far centers, far points, or unequal quadratic parts as for squeezed
+frames) the K^2 pair terms are mapped and summed as before.
 """
 
 from __future__ import annotations
@@ -285,29 +296,100 @@ def smoothing_covariance(gauss: DecoherenceGaussian) -> np.ndarray:
     return -4.0 * gauss.hbar * (J @ gauss.m @ J)
 
 
+# The folded sum's factors e^A, e^B, e^Gamma and e^g are formed only when the
+# real part of every exponent lies within +-230: then no product of three of
+# them overflows or turns subnormal (exp(+-690) against the double limits
+# exp(+-708)).
+_FOLD_EXPONENT_LIMIT = 230.0
+_FOLD_BLOCK = 512  # points per block, so the (points, K) factor arrays stay small
+
+
+def _folded_sum(mu, c0, b, c, pts: np.ndarray, hbar: float):
+    """F[|chi_t|^2] / (2 pi hbar) at pts for damped terms (mu, c0, b) that share
+    one quadratic part c, as a bilinear form, and the largest |real part| of
+    its exponents; None in place of the values once that exceeds the limit.
+
+    With S = (C + C*)^-1, the Fourier exponent of pair (k, l) splits into
+    A_k(x) + B_l(x) + Gamma_kl + g(x), where
+        A_k = c0_k - b_k.S b_k / 4 - (i / 2 hbar) (J S b_k).x,
+        B_l = c0_l* - b_l*.S b_l* / 4 - (i / 2 hbar) (J S b_l*).x = A_l(-x)*,
+        Gamma_kl = -b_k.S b_l* / 2,
+        g = log(pi / (2 pi hbar)^2) - log det(-(C + C*)) / 2 + x.C'x,
+    C' = J S J^T / (4 hbar^2), so the sum is e^g sum_k u_k (W v)_k with
+    u = mu e^A, v = mu* e^B and W = e^Gamma.  Writing A = a0 + xa, where xa is
+    the part linear in x, gives u = mu e^{a0} e^{xa} and v = (mu e^{a0} / e^{xa})*:
+    K exps per point instead of K^2, and the K x K sum is one matrix product.
+    """
+    q = 2.0 * c.real
+    s = np.linalg.inv(q)
+    s = 0.5 * (s + s.T)
+    sb = b @ s                                   # rows (S b_k)^T
+    a0 = c0 - 0.25 * np.sum(b * sb, axis=1)
+    a1 = (-0.5j / hbar) * (sb @ J.T)             # rows -(i / 2 hbar) J S b_k
+    gamma = -0.5 * (sb @ np.conj(b).T)
+    g0 = (math.log(math.pi) - 2.0 * math.log(2.0 * math.pi * hbar)
+          - 0.5 * math.log(q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]))
+    cq = (J @ s @ J.T) / (4.0 * hbar * hbar)
+
+    # |Re a0| = |Re A_k + Re B_k| / 2 at any x, so this bound adds no constraint
+    guard = max(float(np.max(np.abs(gamma.real))), float(np.max(np.abs(a0.real))))
+    if guard > _FOLD_EXPONENT_LIMIT:
+        return None, guard
+    w_t = np.exp(gamma).T
+    m0 = mu * np.exp(a0)
+    out = np.empty(len(pts), dtype=complex)
+    for start in range(0, len(pts), _FOLD_BLOCK):
+        x = pts[start:start + _FOLD_BLOCK]
+        xa = x @ a1.T
+        g = g0 + np.sum((x @ cq) * x, axis=1)
+        # Re A = Re a0 + Re xa and Re B = Re a0 - Re xa, so max(|Re A|, |Re B|)
+        # is |Re a0| + |Re xa|
+        guard = max(guard, float(np.max(np.abs(a0.real) + np.abs(xa.real))),
+                    float(np.max(np.abs(g))))
+        if guard > _FOLD_EXPONENT_LIMIT:
+            return None, guard
+        e = np.exp(xa)
+        u = m0 * e
+        v = np.conj(m0 / e)
+        out[start:start + len(x)] = np.exp(g) * np.sum(u * (v @ w_t), axis=1)
+    return out, guard
+
+
 def correlation_evolved_points(state: Superposition, model: LindbladModel,
                                points: np.ndarray, t: float) -> np.ndarray:
     """C(xi, t) = F[|chi_t|^2] at arbitrary chord points, in closed form.
 
     |chi_t|^2 is a sum over all pairs (k, l) of damped chord terms of
-    mu_k mu_l* exp(E_k + E_l*), again a Gaussian sum, and fourier_terms maps
-    it term by term to its symplectic Fourier transform (divided by
-    2 pi hbar).
+    mu_k mu_l* exp(E_k + E_l*), again a Gaussian sum.  When every damped term
+    has the same quadratic part, _folded_sum takes its symplectic Fourier
+    transform (divided by 2 pi hbar) as a bilinear form; otherwise, or when
+    its guard declines, fourier_terms maps all K^2 pairs and gaussian_sum adds
+    them.  One DEBUG record on the "blindspots" logger names the path, K, the
+    number of points and the largest guard exponent (nan if none was formed).
     """
     mu, c0, b, c = _damped_terms(state, model, t)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-
-    # all K^2 pairs, not half of them: the imaginary-part check below relies on
-    # conjugate pairs cancelling, which a wrong branch of sqrt(det C) would break
-    mu = np.multiply.outer(mu, np.conj(mu)).ravel()
-    keep = mu != 0
-    pairs = (mu[keep], np.add.outer(c0, np.conj(c0)).ravel()[keep],
-             (b[:, None] + np.conj(b)[None, :]).reshape(-1, 2)[keep],
-             (c[:, None] + np.conj(c)[None, :]).reshape(-1, 2, 2)[keep])
     h = state.hbar
-    total = 2.0 * math.pi * h * gaussian_sum(fourier_terms(pairs, h), pts[:, 0], pts[:, 1])
+
+    total, guard = None, math.nan
+    if np.all(c == c[0]):
+        total, guard = _folded_sum(mu, c0, b, c[0], pts, h)
+    path = "folded"
+    if total is None:
+        path = "per-term"
+        # all K^2 pairs, not half of them: the imaginary-part check below relies
+        # on conjugate pairs cancelling, which a wrong branch of sqrt(det C) would break
+        mu2 = np.multiply.outer(mu, np.conj(mu)).ravel()
+        keep = mu2 != 0
+        pairs = (mu2[keep], np.add.outer(c0, np.conj(c0)).ravel()[keep],
+                 (b[:, None] + np.conj(b)[None, :]).reshape(-1, 2)[keep],
+                 (c[:, None] + np.conj(c)[None, :]).reshape(-1, 2, 2)[keep])
+        total = gaussian_sum(fourier_terms(pairs, h), pts[:, 0], pts[:, 1])
+    logger.debug("correlation_evolved_points: %s, K = %d, N = %d, largest guard exponent %.4g",
+                 path, len(mu), len(pts), guard)
+    total = 2.0 * math.pi * h * total
 
     if np.max(np.abs(total.imag)) > 1e-9 * max(1.0, np.max(np.abs(total))):
         raise NumericalError("evolved correlation left an imaginary part")
@@ -382,18 +464,20 @@ def _refine_extremum(s: np.ndarray, v: np.ndarray, i: int) -> Tuple[float, float
 def _row_contrast(s: np.ndarray, v: np.ndarray, s_spot: float):
     """(delta, envelope) for one time row: nearest local minimum vs the linear
     interpolation of its two bracketing local maxima."""
-    mins = [i for i in range(1, len(v) - 1) if v[i] <= v[i - 1] and v[i] <= v[i + 1]]
-    maxs = [i for i in range(1, len(v) - 1) if v[i] >= v[i - 1] and v[i] >= v[i + 1]]
-    if not mins or not maxs:
+    inner = v[1:-1]
+    mins = np.nonzero((inner <= v[:-2]) & (inner <= v[2:]))[0] + 1
+    maxs = np.nonzero((inner >= v[:-2]) & (inner >= v[2:]))[0] + 1
+    if not len(mins) or not len(maxs):
         return None
-    i_min = min(mins, key=lambda i: abs(s[i] - s_spot))
-    left = [i for i in maxs if i < i_min]
-    right = [i for i in maxs if i > i_min]
-    if not left or not right:
+    i_min = int(mins[np.argmin(np.abs(s[mins] - s_spot))])
+    # maxs is sorted: the last one below i_min and the first one above it
+    left = np.searchsorted(maxs, i_min, side="left")
+    right = np.searchsorted(maxs, i_min, side="right")
+    if left == 0 or right == len(maxs):
         return None
     s_min, v_min = _refine_extremum(s, v, i_min)
-    sl, vl = _refine_extremum(s, v, max(left))
-    sr, vr = _refine_extremum(s, v, min(right))
+    sl, vl = _refine_extremum(s, v, int(maxs[left - 1]))
+    sr, vr = _refine_extremum(s, v, int(maxs[right]))
     env = vl + (vr - vl) * (s_min - sl) / (sr - sl)
     delta = max(0.0, env - v_min)
     return delta, env, s_min

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from blindspots import cli, spots
 from blindspots.cli import main
 from conftest import COMPACT_CENTERS, OBLIQUE_CENTERS, HBAR
 
@@ -298,6 +299,20 @@ def valid_config(subcommand):
     ("spots", "k_range", [[2, -2], [-1, 1]]),
     ("decohere", "line.direction", [0, 0]),
     ("decohere", "s_range", [0.0, float("inf")]),  # written as Infinity
+    # integer keys reject fractions and booleans instead of truncating them
+    ("spots", "k_range", [[-0.9, 0.9], [0.5, 0.99]]),
+    ("spots", "max_iter", 2.5),
+    ("spots", "max_iter", True),
+    ("grid", "shape", [11.5, 11]),
+    ("grid", "shape", [True, 11]),
+    ("check", "shape", [201, 200.5]),
+    ("check", "seed", 1.5),
+    ("check", "n_random", True),
+    ("decohere", "n_samples", 11.5),
+    ("decohere", "n_samples", "11"),
+    ("invert", "invert.spots[0].k", [0.5, 0]),
+    ("invert", "invert.spots[1].k", [1, False]),
+    ("spots", "k_range", [[-1000, 1000], [-1000, 1000]]),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, subcommand, key, value):
     # a key that starts with a top-level name of the config is a path from the
@@ -317,6 +332,31 @@ def test_malformed_value_exits_2(tmp_path, capsys, subcommand, key, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: bad {where}")
+
+
+def test_integral_float_keys_are_accepted(tmp_path):
+    cfg = valid_config("grid")
+    cfg["grid"]["shape"] = [11.0, 11]
+    assert main(["grid", write_config(tmp_path, "float.json", cfg),
+                 "--out", str(tmp_path / "float.csv")]) == 0
+
+
+def test_k_range_box_limit():
+    assert cli._index_box(((0, 999), (-500, 499)))
+    assert not cli._index_box(((0, 999), (-500, 500)))
+    assert not cli._index_box(((0, 10 ** 30), (0, 0)))
+
+
+def test_huge_k_range_exits_2_before_building_nodes(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(spots, "sublattice_nodes", lambda *args: built.append(args) or [])
+    cfg = base_config()
+    cfg["spots"] = {"k_range": [[-10 ** 30, 10 ** 30], [0, 0]]}
+    assert main(["spots", write_config(tmp_path, "huge.json", cfg)]) == 2
+    assert not built
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad spots.k_range")
 
 
 def test_invert_zero_spot_is_degenerate(tmp_path):

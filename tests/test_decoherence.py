@@ -382,6 +382,92 @@ def test_folded_correlation_single_point_shape(corner_triplet, pq_model):
     assert vals[0] == correlation_evolved_points(corner_triplet, pq_model, point[None, :], 0.05)[0]
 
 
+def per_term_correlation(state, model, pts, t):
+    """C(x, t) from fourier_terms + gaussian_sum over all K^2 pair terms of
+    |chi_t|^2, and 2 pi hbar sum |term| at each point."""
+    mu, c0, b, c = decoherence._damped_terms(state, model, t)
+    k, l = np.divmod(np.arange(len(mu) ** 2), len(mu))
+    pairs = (mu[k] * np.conj(mu[l]), c0[k] + np.conj(c0[l]), b[k] + np.conj(b[l]),
+             c[k] + np.conj(c[l]))
+    terms = chord.fourier_terms(pairs, state.hbar)
+    norm = 2.0 * np.pi * state.hbar
+    value = norm * chord.gaussian_sum(terms, pts[:, 0], pts[:, 1]).real
+    exponents = (terms[1][None, :] + pts @ terms[2].T
+                 + np.einsum("ni,kij,nj->nk", pts, terms[3], pts))
+    return value, norm * np.abs(terms[0] * np.exp(exponents)).sum(axis=1)
+
+
+@pytest.fixture
+def folded_calls(monkeypatch):
+    """Records what every folded evaluation returned: (values or None, guard)."""
+    calls = []
+    original = decoherence._folded_sum
+
+    def spy(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(decoherence, "_folded_sum", spy)
+    return calls
+
+
+def assert_matches_per_term(state, model, t, pts):
+    direct = correlation_evolved_points(state, model, pts, t)
+    value, scale = per_term_correlation(state, model, pts, t)
+    assert np.all(np.abs(direct - value) <= 1e-13 * scale)
+
+
+FOLD_STATES = {"identity-frame triplet": triplet(COMPACT_CENTERS), "6-term state": SIX_TERM_STATE}
+FOLD_MODELS = {"H = 0": LindbladModel.position_momentum(),
+               "H = diag(1, 1/4)": LindbladModel.position_momentum(np.diag([1.0, 0.25])),
+               "hyperbolic H": STABLE_HYPERBOLIC}
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.4])
+@pytest.mark.parametrize("model_name", FOLD_MODELS)
+@pytest.mark.parametrize("state_name", FOLD_STATES)
+def test_folded_sum_matches_per_term_sum(folded_calls, state_name, model_name, t):
+    s = np.linspace(-2.5, 2.5, 601)  # two blocks of points
+    pts = np.stack([0.8 * s, 0.6 * s + 0.1], axis=1)
+    assert_matches_per_term(FOLD_STATES[state_name], FOLD_MODELS[model_name], t, pts)
+    (result,) = folded_calls
+    assert result[0] is not None and result[1] <= decoherence._FOLD_EXPONENT_LIMIT
+
+
+def test_squeezed_frames_take_per_term_path(folded_calls):
+    s = np.linspace(-2.0, 2.0, 101)
+    pts = np.stack([s, -0.5 * s], axis=1)
+    assert_matches_per_term(squeezed_triplet(), FOLD_MODELS["H = diag(1, 1/4)"], 0.1, pts)
+    assert not folded_calls
+
+
+def test_small_hbar_far_centers_fall_back(caplog, folded_calls):
+    state = triplet(COMPACT_CENTERS, hbar=1e-3)
+    s = np.linspace(-0.05, 0.05, 41)
+    pts = np.stack([s, 0.5 * s], axis=1)
+    with caplog.at_level(logging.DEBUG, logger="blindspots"):
+        assert_matches_per_term(state, LindbladModel.position_momentum(), 0.002, pts)
+    ((values, guard),) = folded_calls
+    assert values is None and guard > decoherence._FOLD_EXPONENT_LIMIT
+    (record,) = [r for r in caplog.records
+                 if r.getMessage().startswith("correlation_evolved_points:")]
+    assert record.args == ("per-term", 9, 41, guard)
+
+
+def test_correlation_debug_record_names_path(caplog):
+    s = np.linspace(-1.0, 1.0, 31)
+    pts = np.stack([s, s], axis=1)
+    with caplog.at_level(logging.DEBUG, logger="blindspots"):
+        correlation_evolved_points(SIX_TERM_STATE, FOLD_MODELS["H = 0"], pts, 0.1)
+        correlation_evolved_points(squeezed_triplet(), FOLD_MODELS["H = 0"], pts, 0.1)
+    folded, per_term = [r for r in caplog.records
+                        if r.getMessage().startswith("correlation_evolved_points:")]
+    path, k, n, guard = folded.args
+    assert (path, k, n) == ("folded", 36, 31) and 0 < guard <= decoherence._FOLD_EXPONENT_LIMIT
+    path, k, n, guard = per_term.args
+    assert (path, k, n) == ("per-term", 9, 31) and np.isnan(guard)
+
+
 def test_wigner_evolved_matches_grid_transform_rotating(corner_triplet):
     from blindspots import self_dual_grid, wigner_from_chord_grid
     from blindspots.decoherence import evolved_chord_grid
