@@ -45,13 +45,7 @@ from .spots import (
     recover_centers,
 )
 from .states import GaussianState, Superposition, translate_state
-from .decoherence import (
-    LindbladModel,
-    dissipation_coeff,
-    lifting_time,
-    positivity_time,
-    scan_line,
-)
+from .decoherence import LindbladModel, dissipation_coeff, scan_line, triplet_timescales
 
 
 def _fmt(x: float) -> str:
@@ -89,16 +83,22 @@ def _floats(shape):
     return array
 
 
+def _number(v):
+    """A JSON number as it is; never a boolean or a string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return v
+
+
 def _integer(v) -> int:
     """A JSON number with no fractional part, as an int; never a boolean."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"expected an integer, got {v!r}")
-    if isinstance(v, float) and not v.is_integer():
+    if isinstance(_number(v), float) and not v.is_integer():
         raise ValueError(f"expected an integer, got {v!r}")
     return int(v)
 
 
 MAX_LATTICE_NODES = 10 ** 6  # per sublattice, in a spots.k_range box
+MAX_GRID_CELLS = 10 ** 7  # per grid.shape or check.shape, and decohere samples x times
 
 
 def _index_box(kr) -> bool:
@@ -109,13 +109,14 @@ def _index_box(kr) -> bool:
         (k1hi - k1lo + 1) * (k2hi - k2lo + 1) <= MAX_LATTICE_NODES)
 
 
-_real = _within(float, np.isfinite)
+_real = _within(lambda v: float(_number(v)), np.isfinite)
+_boolean = _within(lambda v: v, lambda v: isinstance(v, bool))
 _int_pair = _pair(_integer)
 _float_pair = _pair(_real)
 _vector = _floats((2,))
 _matrix = _floats((2, 2))
 _window = _pair(_float_pair)
-_shape = _within(_int_pair, lambda s: min(s) >= 2)
+_shape = _within(_int_pair, lambda s: min(s) >= 2 and s[0] * s[1] <= MAX_GRID_CELLS)
 
 
 def _optional(convert):
@@ -127,10 +128,10 @@ def _one_of(*allowed):
 
 
 def _amplitude(a) -> complex:
-    """A number or [re, im]."""
-    if isinstance(a, (int, float)):
-        return complex(a)
-    return complex(*_float_pair(a))
+    """A number or [re, im]; never a boolean."""
+    if isinstance(a, list):
+        return complex(*_float_pair(a))
+    return complex(_real(a))
 
 
 def _times(v) -> list:
@@ -168,9 +169,8 @@ SCHEMA = {
                   "times": (_times, REQUIRED),
                   "epsilon": (_real, 1e-3),
                   "spot": (_optional(_vector), None),
-                  "summary": (bool, True),
-                  "t_max": (_optional(_real), None),
-                  "positivity_tol": (_real, 0.0)}, REQUIRED),
+                  "summary": (_boolean, True),
+                  "t_max": (_optional(_real), None)}, REQUIRED),
     "invert": ({"branch": (_one_of("plus", "minus"), "plus"),
                 "spots": ([_INVERT_SPOT, _INVERT_SPOT], REQUIRED)}, REQUIRED),
     "check": ({"seed": (_within(_integer, lambda n: n >= 0), 20260808),
@@ -351,13 +351,16 @@ def _auto_line_spot(state, line_point, line_dir):
 
 
 def cmd_decohere(cfg: dict, out: IO[str]) -> int:
-    state = _state_from_config(cfg)
     lindblad, block = cfg["lindblad"], cfg["decohere"]
+    times = block["times"]
+    if block["n_samples"] * max(len(times), 1) > MAX_GRID_CELLS:
+        raise ConfigError(f"bad decohere.n_samples: {block['n_samples']} samples at "
+                          f"{len(times)} times exceed {MAX_GRID_CELLS} values")
+    state = _state_from_config(cfg)
     model = LindbladModel(lindblad["h"], tuple(c["re"] + 1j * c["im"]
                                                for c in lindblad["couplings"]))
     point, direction = block["line"]["point"], block["line"]["direction"]
     direction = direction / np.hypot(*direction)
-    times = block["times"]
 
     series = scan_line(state, model, (point, direction), block["s_range"], block["n_samples"],
                        times)
@@ -371,16 +374,13 @@ def cmd_decohere(cfg: dict, out: IO[str]) -> int:
         spot = block["spot"]
         if spot is None:
             spot = _auto_line_spot(state, point, direction)
-        lift = lifting_time(series, spot, block["epsilon"])
-        t_p = positivity_time(state, model, t_max=block["t_max"], tol=block["positivity_tol"])
-        centers = state.centers
-        area = 0.5 * abs(skew(centers[1] - centers[0], centers[2] - centers[0]))
-        ratio = lift.tau_l * area / (state.hbar * t_p)
-        lines.append(f"# spot = {_fmt(spot[0])} {_fmt(spot[1])}")
-        lines.append(f"# tau_l = {_fmt(lift.tau_l)}")
-        lines.append(f"# t_p = {_fmt(t_p)}")
-        lines.append(f"# area = {_fmt(area)}")
-        lines.append(f"# ratio_tau_l_A_over_hbar_t_p = {_fmt(ratio)}")
+        summary = triplet_timescales(state, model, series, spot, block["epsilon"],
+                                     block["t_max"])
+        lines.append(f"# spot = {_fmt(summary.spot[0])} {_fmt(summary.spot[1])}")
+        lines.append(f"# tau_l = {_fmt(summary.tau_l)}")
+        lines.append(f"# t_p = {_fmt(summary.t_p)}")
+        lines.append(f"# area = {_fmt(summary.area)}")
+        lines.append(f"# ratio_tau_l_A_over_hbar_t_p = {_fmt(summary.ratio)}")
 
     lines.append("t,s,xi_p,xi_q,value")
     out.write("\n".join(lines) + "\n")

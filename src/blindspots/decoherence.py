@@ -11,7 +11,9 @@ where R_t = exp(2 J H t) is the classical flow and M_t solves
     dM/dt = 2 (H J M - M J H) + (1/2) sum_j (l' l'^T + l'' l''^T),  M_0 = 0,
 
 that is M_t = (1/2) int_0^t R_{-s}^T C R_{-s} ds, which is integrated exactly
-(cos/sin, polynomial or exponential in t).
+(cos/sin, polynomial or exponential in t).  What does not depend on t (alpha,
+C = sum_j (l' l'^T + l'' l''^T), A = 2 J H and det A) is derived once per
+LindbladModel, on first use, and kept read-only; M_t and R_t are per call.
 
 The correlation C(xi, t) = F[|chi_t|^2] is then the pure-state correlation
 convolved with a normalized Gaussian of covariance -4 hbar J M_t J; both the
@@ -38,6 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -99,32 +102,54 @@ class LindbladModel:
         return cls(h, (strength * np.array([1.0, 0.0], dtype=complex),
                        strength * np.array([0.0, 1.0], dtype=complex)))
 
+    @cached_property
+    def alpha(self) -> float:
+        """sum_j skew(l''_j, l'_j), the dissipation coefficient."""
+        return float(sum(skew(c.imag, c.real) for c in self.couplings))
+
+    @cached_property
     def coupling_matrix(self) -> np.ndarray:
-        """sum_j (l' l'^T + l'' l''^T), the positive-semidefinite diffusion form."""
+        """C = sum_j (l' l'^T + l'' l''^T), the positive-semidefinite diffusion form."""
         total = np.zeros((2, 2))
         for c in self.couplings:
             total += np.outer(c.real, c.real) + np.outer(c.imag, c.imag)
+        total.setflags(write=False)
         return total
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """A = 2 J H, so that R_t = exp(A t)."""
+        a = 2.0 * (J @ self.hamiltonian)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def generator_det(self) -> float:
+        a = self.generator
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
 
 
 def dissipation_coeff(model: LindbladModel) -> float:
     """alpha = sum_j skew(l''_j, l'_j); zero for Hermitian couplings."""
-    return float(sum(skew(c.imag, c.real) for c in model.couplings))
+    return model.alpha
 
 
 def _require_nondissipative(model: LindbladModel):
-    a = dissipation_coeff(model)
-    if abs(a) > ALPHA_TOL:
-        raise DissipativeUnsupported(
-            f"dissipation coefficient alpha = {a}; only alpha = 0 evolution is supported")
+    if abs(model.alpha) > ALPHA_TOL:
+        raise DissipativeUnsupported(f"dissipation coefficient alpha = {model.alpha}; "
+                                     "only alpha = 0 evolution is supported")
 
 
 def propagator_matrix(hamiltonian, t: float) -> np.ndarray:
     """R_t = exp(2 J H t) in closed form (elliptic/hyperbolic/parabolic)."""
-    h = np.asarray(hamiltonian, dtype=float)
     if not np.isfinite(t):
         raise ValidationError("time must be finite")
-    m = 2.0 * (J @ h) * t         # traceless, so m @ m = -det(m) * I
+    return _propagator(2.0 * (J @ np.asarray(hamiltonian, dtype=float)), t)
+
+
+def _propagator(a: np.ndarray, t: float) -> np.ndarray:
+    """exp(A t) for a traceless 2x2 generator A and a finite t."""
+    m = a * t                     # traceless, so m @ m = -det(m) * I
     d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if d > 1e-24:
         s = math.sqrt(d)
@@ -220,6 +245,7 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
     direction gives a bounded M_t at every t, and det M_t is taken from those
     pieces.  For H = 0 the Gaussian factor solves the chord master equation
     exactly: M_t = (t/2) C.  A t at which M_t overflows raises NumericalError.
+    C, A and det A are the model's, derived once.
     """
     _require_nondissipative(model)
     if not math.isfinite(t):
@@ -228,9 +254,7 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
         raise NegativeTime(f"t = {t}")
     if t == 0:
         return DecoherenceGaussian(0.0, np.zeros((2, 2)), hbar, 0.0)
-    c = model.coupling_matrix()
-    a = 2.0 * (J @ model.hamiltonian)
-    d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    c, a, d = model.coupling_matrix, model.generator, model.generator_det
     x = -4.0 * d * t * t
     det = None
     if x >= _SERIES_X:
@@ -250,14 +274,12 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
 def _damped_terms(state: Superposition, model: LindbladModel, t: float):
     """chi_t as terms: the state's chord terms (mu[K], c0[K], b[K, 2],
     C[K, 2, 2]) transported by the classical flow R_{-t}, with C' - M_t / hbar,
-    after the checks that every evolved quantity needs."""
-    _require_nondissipative(model)
-    if t < 0:
-        raise NegativeTime(f"t = {t}")
-    require_normalized(state)
-    r_back = propagator_matrix(model.hamiltonian, -t)
-    mu, c0, b, c = state.chord_terms
+    after the checks that every evolved quantity needs (decoherence_matrix
+    checks the model and t)."""
     m = decoherence_matrix(model, t, hbar=state.hbar).m
+    require_normalized(state)
+    r_back = _propagator(model.generator, -t)
+    mu, c0, b, c = state.chord_terms
     return mu, c0, b @ r_back, r_back.T @ c @ r_back - m / state.hbar
 
 
@@ -434,11 +456,9 @@ def scan_line(state: Superposition, model: LindbladModel, line, s_range,
     s = np.linspace(float(s_range[0]), float(s_range[1]), int(n_samples))
     pts = point[None, :] + s[:, None] * direction[None, :]
 
-    rows = []
-    for t in times:
-        rows.append(correlation_evolved_points(state, model, pts, float(t)))
-    values = np.array(rows)
-    return LineScanSeries(point, direction, s, tuple(float(t) for t in times), values)
+    times = tuple(float(t) for t in times)
+    values = np.array([correlation_evolved_points(state, model, pts, t) for t in times])
+    return LineScanSeries(point, direction, s, times, values)
 
 
 @dataclass(frozen=True)
@@ -497,33 +517,21 @@ def lifting_time(series: LineScanSeries, spot, epsilon: float = 1e-3) -> Lifting
     if not (s[0] <= s_spot <= s[-1]):
         raise NoMinimum(f"spot projects to s = {s_spot}, outside the scan range")
 
-    ratios = []
-    deltas = []
-    for row in series.values:
-        rc = _row_contrast(s, row, s_spot)
-        if rc is None:
-            deltas.append(0.0)
-            ratios.append(0.0)
-            continue
-        delta, env, s_min = rc
-        deltas.append(delta)
-        ratios.append(delta / env if env > 0 else 0.0)
-
-    ds = s[1] - s[0]
-    rc0 = _row_contrast(s, series.values[0], s_spot)
-    if rc0 is None or abs(rc0[2] - s_spot) > 2.0 * ds:
+    contrasts = [_row_contrast(s, row, s_spot) for row in series.values]
+    rc0 = contrasts[0]
+    if rc0 is None or abs(rc0[2] - s_spot) > 2.0 * (s[1] - s[0]):
         raise NoMinimum("the spot is not a local minimum of the first time row")
 
     times = np.asarray(series.times)
-    ratios = np.asarray(ratios)
+    deltas = [0.0 if rc is None else rc[0] for rc in contrasts]
+    ratios = np.array([rc[0] / rc[1] if rc is not None and rc[1] > 0 else 0.0 for rc in contrasts])
     if ratios[-1] >= epsilon:
         raise NeverLifted(
             f"contrast ratio {ratios[-1]:.3e} at t = {times[-1]} still above {epsilon}")
 
     crit = {"epsilon": epsilon, "envelope": "adjacent-local-maxima-linear"}
     delta_series = tuple((float(t), float(d)) for t, d in zip(times, deltas))
-    below = np.nonzero(ratios < epsilon)[0]
-    k = int(below[0])
+    k = int(np.nonzero(ratios < epsilon)[0][0])
     if k == 0:
         return LiftingResult(float(times[0]), spot, delta_series, crit)
 
@@ -532,19 +540,15 @@ def lifting_time(series: LineScanSeries, spot, epsilon: float = 1e-3) -> Lifting
     r_lo = math.log(max(ratios[k - 1], 1e-320))
     r_hi = math.log(max(ratios[k], 1e-320))
     target = math.log(epsilon)
-    while (t_hi - t_lo) > 1e-3 * t_hi:
-        mid = 0.5 * (t_lo + t_hi)
-        r_mid = r_lo + (r_hi - r_lo) * (mid - float(times[k - 1])) / (float(times[k]) - float(times[k - 1]))
-        if r_mid < target:
-            t_hi = mid
-        else:
-            t_lo = mid
-    return LiftingResult(t_hi, spot, delta_series, crit)
+    tau_l = _bisect_earliest(lambda t: r_lo + (r_hi - r_lo) * (t - t_lo) / (t_hi - t_lo) < target,
+                             t_lo, t_hi, 1e-3)
+    return LiftingResult(tau_l, spot, delta_series, crit)
 
 
 HUSIMI_DET = 1.0 / 16.0
 _HUSIMI_DOUBLINGS = 16
 _HUSIMI_PRECISION = 1e-12
+_POSITIVITY_PRECISION = 1e-3  # relative precision of positivity_time
 
 
 def _bisect_earliest(holds, lo: float, hi: float, rel_precision: float) -> float:
@@ -574,13 +578,13 @@ def husimi_time(model: LindbladModel) -> float:
     1e-12 relative.
     """
     _require_nondissipative(model)
-    c = model.coupling_matrix()
+    c = model.coupling_matrix
     if not np.any(model.hamiltonian):
         det_c = float(np.linalg.det(c))
         return 1.0 / (2.0 * math.sqrt(det_c)) if det_c > 0 else math.inf
     if not np.any(c):
         return math.inf
-    a = 2.0 * (J @ model.hamiltonian)
+    a = model.generator
     spread, frame = np.linalg.eigh(c)
     if spread[0] <= 1e-12 * spread[1]:
         v = frame[:, 1]
@@ -600,7 +604,7 @@ def husimi_time(model: LindbladModel) -> float:
     return math.inf
 
 
-def _auto_wigner_box(state: Superposition, t_max: float, gauss_end: DecoherenceGaussian):
+def _auto_wigner_box(state: Superposition, gauss_end: DecoherenceGaussian):
     centers = state.centers
     pad = 8.0 * math.sqrt(state.hbar / min(g.width.real for g in state.states))
     sig = smoothing_covariance(gauss_end)
@@ -673,9 +677,8 @@ def _pair_zero_seeds(terms):
     return seeds
 
 
-def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: float,
-                        rel_precision: float):
-    """(x*, W, term scale) with W_t(x*) < 0 at t = (1 - rel_precision) t_H, or None.
+def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: float):
+    """(x*, W, term scale) with W_t(x*) < 0 at t = (1 - 1e-3) t_H, or None.
 
     chi_t = chi_Q exp(+xi . (M_{t_H} - M_t) xi / hbar), where M_{t_H} - M_t is
     positive semidefinite and chi_Q is the chord function of Q, the Husimi
@@ -687,10 +690,10 @@ def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: fl
     is negative by more than round-off is returned.
     """
     h = state.hbar
-    t = (1.0 - rel_precision) * t_husimi
+    t = (1.0 - _POSITIVITY_PRECISION) * t_husimi
     try:
         probe = _husimi_probe(decoherence_matrix(model, t_husimi, hbar=h).m)
-        moved = apply_symplectic(state, propagator_matrix(model.hamiltonian, t))
+        moved = apply_symplectic(state, _propagator(model.generator, t))
     except NotSymplectic:
         return None
     mu, c0, b, c = amplitude = pair_arrays(((1.0, probe),), moved.terms, h)
@@ -710,35 +713,31 @@ def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: fl
     return None
 
 
-def positivity_time(state: Superposition, model: LindbladModel, window=None,
-                    shape=None, t_max: float | None = None, tol: float = 0.0,
-                    rel_precision: float = 1e-3) -> float:
-    """Earliest t with W_t >= 0, to rel_precision relative.
+def positivity_time(state: Superposition, model: LindbladModel,
+                    t_max: float | None = None) -> float:
+    """Earliest t with W_t >= 0, to 1e-3 relative.
 
-    The automatic upper bracket is the Husimi bound t_H = husimi_time(model):
-    from there on W_t >= 0 is a theorem.  Every non-Gaussian pure state has
-    t_p = t_H, since W_{t_H} is a Husimi function and those have zeros; so
-    when tol = 0, t_H is finite and t_max does not cut below it, t_H is
-    returned as soon as one point x* shows W_t(x*) < 0 at
-    t = (1 - rel_precision) t_H (_husimi_certificate), without a grid.
-    Otherwise, or when no point is certified, W_t, the term-exact Fourier
-    conjugate of chi_t, is sampled on a grid covering the state (window,
-    shape) and positivity is the sign of min W_t + tol * max W_t, with grid
-    extrema refined parabolically, bisected in t; the bracket end t_H is not
-    evaluated (W_t has exact zeros there, which round-off can turn negative).
-    A t_max below t_H must give W_t >= 0 or NeverPositive is raised; a larger
-    one is replaced by t_H.  Without a Husimi bound the bracket starts at the
-    time every interference term is damped below round-off and grows up to 8
-    times by a factor 1.6 before NeverPositive is raised.  One DEBUG record on
-    the "blindspots" logger says which path ran.
+    The upper bracket is the Husimi bound t_H = husimi_time(model): from
+    there on W_t >= 0 is a theorem, and every non-Gaussian pure state has
+    t_p = t_H, since W_{t_H} is a Husimi function and those have zeros.  So
+    when t_H is finite and t_max does not cut below it, t_H is returned as
+    soon as one point x* shows W_t(x*) < 0 at t = (1 - 1e-3) t_H
+    (_husimi_certificate), without a grid.  Otherwise, or when no point is
+    certified, the sign of min W_t on a grid covering the state (steps of
+    1/8 of the shortest fringe period, minima refined parabolically) is
+    bisected in t; the bracket end t_H is not evaluated (W_t has exact zeros
+    there, which round-off can turn negative).  A t_max below t_H must give
+    W_t >= 0 or NeverPositive is raised; a larger one is replaced by t_H.
+    Without a Husimi bound the bracket starts at the time every interference
+    term is damped below round-off and grows up to 8 times by a factor 1.6
+    before NeverPositive is raised.  One DEBUG record on the "blindspots"
+    logger says which path ran.
     """
-    _require_nondissipative(model)
+    t_husimi = husimi_time(model)  # rejects a dissipative model
     require_normalized(state)
     h = state.hbar
-
-    t_husimi = husimi_time(model)
-    if tol == 0 and math.isfinite(t_husimi) and (t_max is None or t_max >= t_husimi):
-        found = _husimi_certificate(state, model, t_husimi, rel_precision)
+    if math.isfinite(t_husimi) and (t_max is None or t_max >= t_husimi):
+        found = _husimi_certificate(state, model, t_husimi)
         if found is not None:
             x, w, scale = found
             logger.debug("positivity_time: certificate t_H = %r, x* = (%r, %r), "
@@ -753,38 +752,29 @@ def positivity_time(state: Superposition, model: LindbladModel, window=None,
     else:
         hi, grow = _interference_damping_time(state, model), 8
 
-    gauss_end = decoherence_matrix(model, hi, hbar=h)
-    if window is None:
-        window = _auto_wigner_box(state, hi, gauss_end)
-    if shape is None:
-        dmax = 0.0
-        centers = state.centers
-        for i in range(len(centers)):
-            for j in range(len(centers)):
-                dmax = max(dmax, float(np.hypot(*(centers[i] - centers[j]))))
-        lam = 2.0 * math.pi * h / max(dmax, math.sqrt(h))
-        step = lam / 8.0
-        shape = (int(math.ceil((window[0][1] - window[0][0]) / step)) + 1,
-                 int(math.ceil((window[1][1] - window[1][0]) / step)) + 1)
+    window = _auto_wigner_box(state, decoherence_matrix(model, hi, hbar=h))
+    centers = state.centers
+    dmax = float(np.max(np.hypot(*(centers[:, None] - centers[None, :]).T)))
+    step = 2.0 * math.pi * h / max(dmax, math.sqrt(h)) / 8.0
+    shape = (int(math.ceil((window[0][1] - window[0][0]) / step)) + 1,
+             int(math.ceil((window[1][1] - window[1][0]) / step)) + 1)
 
     evaluations = 0
 
-    def deficit(t: float) -> float:
+    def positive(t: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        w_min, w_max = _wigner_extrema(state, model, window, shape, t)
-        return w_min + tol * w_max
+        return _wigner_extrema(state, model, window, shape, t)[0] >= 0
 
-    if deficit(0.0) >= 0:
-        t_p = 0.0
-    else:
+    t_p = 0.0
+    if not positive(0.0):
         if hi < t_husimi:
-            while deficit(hi) < 0:
+            while not positive(hi):
                 if grow == 0:
                     raise NeverPositive(f"Wigner function still negative at t_max = {hi}")
                 hi *= 1.6
                 grow -= 1
-        t_p = _bisect_earliest(lambda t: deficit(t) >= 0, 0.0, hi, rel_precision)
+        t_p = _bisect_earliest(positive, 0.0, hi, _POSITIVITY_PRECISION)
     logger.debug("positivity_time: grid window = %s, shape = %s, %d evaluations",
                  window, shape, evaluations)
     return t_p
@@ -799,26 +789,39 @@ class LiftingRatioResult:
     spot: np.ndarray
 
 
+def _triangle_area(state: Superposition) -> float:
+    centers = state.centers
+    return 0.5 * abs(skew(centers[1] - centers[0], centers[2] - centers[0]))
+
+
+def triplet_timescales(state: Superposition, model: LindbladModel, series: LineScanSeries,
+                       spot, epsilon: float, t_max: float | None) -> LiftingRatioResult:
+    """tau_l of series at spot, t_p = positivity_time and tau_l A / (hbar t_p),
+    with A the area of the triplet's center triangle."""
+    lift = lifting_time(series, spot, epsilon)
+    t_p = positivity_time(state, model, t_max=t_max)
+    area = _triangle_area(state)
+    return LiftingRatioResult(lift.tau_l, t_p, lift.tau_l * area / (state.hbar * t_p), area,
+                              lift.spot)
+
+
 def lifting_ratio(state: Superposition, model: LindbladModel, *,
                   spot=None, line=None, s_halfwidth: float | None = None,
                   n_samples: int = 1201, times: Sequence[float] | None = None,
-                  epsilon: float = 1e-3, t_max: float | None = None,
-                  pos_tol: float = 0.0) -> LiftingRatioResult:
+                  epsilon: float = 1e-3, t_max: float | None = None) -> LiftingRatioResult:
     """End-to-end tau_l, t_p and the dimensional ratio tau_l A / (hbar t_p).
 
     The state must be a triplet with non-collinear centers; A is the area of
     the center triangle.  Defaults scan through the blind spot nearest the
-    origin along the line joining it to the origin.  t_p is positivity_time
-    with tol = pos_tol: by default the earliest t with W_t >= 0, bracketed by
-    the Husimi bound when the model has one.
+    origin along the line joining it to the origin.  t_p is positivity_time:
+    the earliest t with W_t >= 0, bracketed by the Husimi bound when the
+    model has one.
     """
     from .spots import DiffractionModel, hexagonal_lattice, newton_refine
 
     if len(state) != 3:
         raise ValidationError("lifting_ratio expects a three-state superposition")
-    centers = state.centers
-    area = 0.5 * abs(skew(centers[1] - centers[0], centers[2] - centers[0]))
-    if area <= 0:
+    if _triangle_area(state) <= 0:
         raise ValidationError("triplet centers are collinear")
 
     if spot is None:
@@ -832,9 +835,8 @@ def lifting_ratio(state: Superposition, model: LindbladModel, *,
     if s_halfwidth is None:
         s_halfwidth = 2.6 * np.hypot(*spot)
 
-    h = state.hbar
     if times is None:
-        gauss1 = decoherence_matrix(model, 1.0, hbar=h)
+        gauss1 = decoherence_matrix(model, 1.0, hbar=state.hbar)
         sigma1 = smoothing_covariance(gauss1)
         direction = np.asarray(line[1], dtype=float)
         direction = direction / np.hypot(*direction)
@@ -847,7 +849,4 @@ def lifting_ratio(state: Superposition, model: LindbladModel, *,
 
     series = scan_line(state, model, line, (-s_halfwidth, s_halfwidth),
                        n_samples, times)
-    lift = lifting_time(series, spot, epsilon)
-    t_p = positivity_time(state, model, t_max=t_max, tol=pos_tol)
-    ratio = lift.tau_l * area / (h * t_p)
-    return LiftingRatioResult(lift.tau_l, t_p, ratio, area, spot)
+    return triplet_timescales(state, model, series, spot, epsilon, t_max)

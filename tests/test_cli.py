@@ -313,6 +313,11 @@ def valid_config(subcommand):
     ("invert", "invert.spots[0].k", [0.5, 0]),
     ("invert", "invert.spots[1].k", [1, False]),
     ("spots", "k_range", [[-1000, 1000], [-1000, 1000]]),
+    # booleans only where a boolean is meant
+    ("decohere", "summary", "no"),
+    ("decohere", "summary", 0),
+    ("grid", "states[0].amplitude", True),
+    ("grid", "states[0].amplitude", [1.0, False]),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, subcommand, key, value):
     # a key that starts with a top-level name of the config is a path from the
@@ -357,6 +362,41 @@ def test_huge_k_range_exits_2_before_building_nodes(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: bad spots.k_range")
+
+
+def test_grid_cell_limit():
+    assert cli._shape([5 * 10 ** 6, 2]) == (5 * 10 ** 6, 2)
+    with pytest.raises(ValueError):
+        cli._shape([5 * 10 ** 6 + 1, 2])
+
+
+@pytest.mark.parametrize("subcommand, block, allocator", [
+    ("grid", {"shape": [10 ** 4, 1001]}, "grid_axes"),
+    ("check", {"window": [[-0.4, 0.4], [-0.4, 0.4]], "shape": [10 ** 4, 1001]},
+     "correlation_grid"),
+    ("decohere", {"n_samples": 10 ** 7 + 1}, "scan_line"),
+    ("decohere", {"n_samples": 10 ** 4, "times": [0.0] * 1001}, "scan_line"),
+])
+def test_oversized_output_exits_2_before_allocating(tmp_path, capsys, monkeypatch, subcommand,
+                                                    block, allocator):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{allocator} called")
+
+    monkeypatch.setattr(cli, allocator, refuse)
+    cfg = valid_config(subcommand)
+    cfg[subcommand].update(block)
+    assert main([subcommand, write_config(tmp_path, "huge.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = "n_samples" if subcommand == "decohere" else "shape"
+    assert captured.err.startswith(f"error: bad {subcommand}.{key}")
+
+
+def test_removed_positivity_tol_key_exits_2(tmp_path, capsys):
+    cfg = valid_config("decohere")
+    cfg["decohere"]["positivity_tol"] = 0.0
+    assert main(["decohere", write_config(tmp_path, "old.json", cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown keys ['positivity_tol'] in decohere")
 
 
 def test_invert_zero_spot_is_degenerate(tmp_path):

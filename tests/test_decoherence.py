@@ -1,4 +1,6 @@
+import functools
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,6 +49,40 @@ def line_spot(state):
         if abs(node.xi[0] + node.xi[1] / 2) < 1e-12 and node.xi[1] > 1e-6:
             return newton_refine(state, node.xi).xi
     raise AssertionError("no lattice node on the scan line")
+
+
+@pytest.fixture
+def model_data_builds(monkeypatch):
+    """Counts the builds of each LindbladModel property derived from its data."""
+    builds = Counter()
+    for name in ("alpha", "coupling_matrix", "generator", "generator_det"):
+        def build(model, derive=LindbladModel.__dict__[name].func, name=name):
+            builds[name] += 1
+            return derive(model)
+
+        spy = functools.cached_property(build)
+        spy.__set_name__(LindbladModel, name)
+        monkeypatch.setattr(LindbladModel, name, spy)
+    return builds
+
+
+def test_model_data_built_once_per_model(model_data_builds, compact_triplet):
+    models = [LindbladModel(np.diag([1.0, 0.25]), (np.array([0.0, 1.0]),)) for _ in range(2)]
+    for model in models:
+        scan_line(compact_triplet, model, ((0.0, 0.0), (1.0, 0.0)), (-0.3, 0.3), 61,
+                  np.linspace(0.0, 0.5, 12))
+        husimi_time(model)
+    assert model_data_builds == {"alpha": 2, "coupling_matrix": 2, "generator": 2,
+                                 "generator_det": 2}
+
+
+def test_model_data_is_read_only():
+    model = LindbladModel.position_momentum(np.eye(2))
+    for cached in (model.coupling_matrix, model.generator):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    assert np.array_equal(model.coupling_matrix, np.eye(2))
+    assert np.array_equal(model.generator, 2.0 * J)
 
 
 def test_model_requires_symmetric_hamiltonian():
@@ -140,7 +176,7 @@ def quadrature_m(model, t, panels=64):
     """(1/2) int_0^t R_{-s}^T C R_{-s} ds by composite 10-point Gauss-Legendre."""
     x, w = np.polynomial.legendre.leggauss(10)
     edges = np.linspace(0.0, t, panels + 1)
-    c = model.coupling_matrix()
+    c = model.coupling_matrix
     total = np.zeros((2, 2))
     for a, b in zip(edges[:-1], edges[1:]):
         for xk, wk in zip(x, w):
@@ -624,14 +660,14 @@ def test_positivity_time_wigner_nonnegative_at_t_p(positivity_times, pq_model, n
 
 @pytest.mark.parametrize("name", POSITIVITY_STATES)
 def test_positivity_time_wigner_negative_just_before(positivity_times, pq_model, name):
-    tp = positivity_times[name]  # default rel_precision = 1e-3
+    tp = positivity_times[name]  # to 1e-3 relative
     assert fine_wigner_min(POSITIVITY_STATES[name], pq_model, tp * (1 - 2 * 1e-3)) < 0
 
 
 @pytest.mark.parametrize("name", POSITIVITY_STATES)
 def test_positivity_time_within_husimi_bound(positivity_times, pq_model, name):
     # H = 0, so M_t = (t/2) C and det M_t reaches 1/16 at 1 / (2 sqrt(det C))
-    bound = 1.0 / (2.0 * np.sqrt(np.linalg.det(pq_model.coupling_matrix())))
+    bound = 1.0 / (2.0 * np.sqrt(np.linalg.det(pq_model.coupling_matrix)))
     assert 0 < positivity_times[name] <= bound
 
 
@@ -728,7 +764,7 @@ def test_husimi_certificate_declines_flow_beyond_frame_precision():
     # by 3e-11 and the moved frames are rejected: the grid search must run
     model = LindbladModel(np.array([[0.0, 1.0], [1.0, 0.0]]), (np.array([0.1, 0.03]),))
     t_h = husimi_time(model)
-    assert decoherence._husimi_certificate(triplet(COMPACT_CENTERS), model, t_h, 1e-3) is None
+    assert decoherence._husimi_certificate(triplet(COMPACT_CENTERS), model, t_h) is None
 
 
 ONE_COUPLING = LindbladModel(np.zeros((2, 2)), (np.array([1.0, 0.0]),))
@@ -738,7 +774,6 @@ COHERENT = normalize(Superposition.from_centers(HBAR, [1.0], [(0.3, -0.2)]))
 
 # (state, model, keyword arguments, t_p or the error raised)
 GRID_FALLBACKS = {
-    "tol != 0": (triplet(COMPACT_CENTERS), CERTIFIED_MODELS["pq"], {"tol": 1e-6}, 0.5),
     "no Husimi bound": (CAT_ALONG_P, ONE_COUPLING, {}, 17.217909049367712),
     "no Husimi bound, never positive": (CAT_ALONG_Q, ONE_COUPLING, {}, NeverPositive),
     "t_max < t_H": (triplet(COMPACT_CENTERS), CERTIFIED_MODELS["pq"], {"t_max": 0.3},
