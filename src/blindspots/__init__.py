@@ -89,7 +89,6 @@ from .decoherence import (
     LineScanSeries,
     correlation_evolved_points,
     decoherence_matrix,
-    dissipation_coeff,
     evolved_chord,
     evolved_chord_grid,
     evolved_correlation,

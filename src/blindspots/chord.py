@@ -286,8 +286,7 @@ def _default_quadrature_step(state: Superposition, xi_p: float) -> float:
     return min(gaussian_scale, phase_scale)
 
 
-def chord_quadrature(state: Superposition, xi, step: float | None = None,
-                     halfwidth: float | None = None) -> complex:
+def chord_quadrature(state: Superposition, xi, step: float | None = None) -> complex:
     """Independent oracle: composite-Simpson integration of the position form
 
         chi(xi) = int dq Psi(q + xi_q/2) Psi*(q - xi_q/2) exp(-i xi_p q / hbar).
@@ -301,9 +300,8 @@ def chord_quadrature(state: Superposition, xi, step: float | None = None,
     if step > allowed:
         raise BadQuadrature(f"step {step} undersamples the phase (limit {allowed})")
 
-    if halfwidth is None:
-        min_re = min(g.width.real for g in state.states)
-        halfwidth = 10.0 * math.sqrt(h / min_re)
+    min_re = min(g.width.real for g in state.states)
+    halfwidth = 10.0 * math.sqrt(h / min_re)
     qs = [g.center[1] for g in state.states]
     lo = min(qs) - abs(xi[1]) / 2 - halfwidth
     hi = max(qs) + abs(xi[1]) / 2 + halfwidth

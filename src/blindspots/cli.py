@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .chord import chord_values, normalize, chord_quadrature, chord_exact, wigner_values
 from .fields import (
+    MAX_GRID_CELLS,
     correlation_grid,
     fourier_2d,
     grid_axes,
@@ -45,7 +45,7 @@ from .spots import (
     recover_centers,
 )
 from .states import GaussianState, Superposition, translate_state
-from .decoherence import LindbladModel, dissipation_coeff, scan_line, triplet_timescales
+from .decoherence import LindbladModel, scan_line, triplet_timescales
 
 
 def _fmt(x: float) -> str:
@@ -74,13 +74,9 @@ def _pair(convert):
     return pair
 
 
-def _floats(shape):
-    def array(v) -> np.ndarray:
-        out = np.asarray(v, dtype=float)
-        if out.shape != shape:
-            raise ValueError(f"expected shape {shape}, got {v!r}")
-        return out
-    return array
+def _array(convert):
+    """convert, as a float array: every entry goes through _real."""
+    return lambda v: np.array(convert(v))
 
 
 def _number(v):
@@ -98,7 +94,6 @@ def _integer(v) -> int:
 
 
 MAX_LATTICE_NODES = 10 ** 6  # per sublattice, in a spots.k_range box
-MAX_GRID_CELLS = 10 ** 7  # per grid.shape or check.shape, and decohere samples x times
 
 
 def _index_box(kr) -> bool:
@@ -113,9 +108,9 @@ _real = _within(lambda v: float(_number(v)), np.isfinite)
 _boolean = _within(lambda v: v, lambda v: isinstance(v, bool))
 _int_pair = _pair(_integer)
 _float_pair = _pair(_real)
-_vector = _floats((2,))
-_matrix = _floats((2, 2))
 _window = _pair(_float_pair)
+_vector = _array(_float_pair)
+_matrix = _array(_window)
 _shape = _within(_int_pair, lambda s: min(s) >= 2 and s[0] * s[1] <= MAX_GRID_CELLS)
 
 
@@ -174,7 +169,7 @@ SCHEMA = {
     "invert": ({"branch": (_one_of("plus", "minus"), "plus"),
                 "spots": ([_INVERT_SPOT, _INVERT_SPOT], REQUIRED)}, REQUIRED),
     "check": ({"seed": (_within(_integer, lambda n: n >= 0), 20260808),
-               "n_random": (_within(_integer, lambda n: n >= 1), 50),
+               "n_random": (_within(_integer, lambda n: 1 <= n <= MAX_GRID_CELLS), 50),
                "window": (_window, None),
                "shape": (_shape, (201, 201))}, {}),
 }
@@ -306,7 +301,6 @@ def cmd_spots(cfg: dict, out: IO[str]) -> int:
                     spot = newton_refine(state, node.xi, tol=tol, max_iter=max_iter)
                 except (NumericalError,):
                     continue
-                spot = replace(spot, lattice_index=(node.k1, node.k2, node.sublattice))
                 rows.append((spot, node.k1, node.k2, node.sublattice))
         except NoClosure:
             note = "no closure: the weight phasors cannot form a triangle"
@@ -366,7 +360,7 @@ def cmd_decohere(cfg: dict, out: IO[str]) -> int:
                        times)
 
     lines = _meta_lines(cfg, "decohere")
-    lines.append(f"# alpha = {_fmt(dissipation_coeff(model))}")
+    lines.append(f"# alpha = {_fmt(model.alpha)}")
     lines.append(f"# line_point = {_fmt(point[0])} {_fmt(point[1])}")
     lines.append(f"# line_direction = {_fmt(direction[0])} {_fmt(direction[1])}")
 

@@ -65,7 +65,7 @@ from .chord import (
     point_exponents,
     require_normalized,
 )
-from .fields import FieldGrid, fourier_2d, grid_axes, require_adequate
+from .fields import MAX_GRID_CELLS, FieldGrid, fourier_2d, grid_axes, require_adequate
 from .geometry import J, as_phase_vector, skew
 from .spots import newton_zero
 from .states import GaussianState, Superposition, apply_symplectic
@@ -129,11 +129,6 @@ class LindbladModel:
         return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
 
 
-def dissipation_coeff(model: LindbladModel) -> float:
-    """alpha = sum_j skew(l''_j, l'_j); zero for Hermitian couplings."""
-    return model.alpha
-
-
 def _require_nondissipative(model: LindbladModel):
     if abs(model.alpha) > ALPHA_TOL:
         raise DissipativeUnsupported(f"dissipation coefficient alpha = {model.alpha}; "
@@ -148,7 +143,8 @@ def propagator_matrix(hamiltonian, t: float) -> np.ndarray:
 
 
 def _propagator(a: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) for a traceless 2x2 generator A and a finite t."""
+    """exp(A t) for a traceless 2x2 generator A and a finite t; NumericalError
+    once a hyperbolic flow overflows."""
     m = a * t                     # traceless, so m @ m = -det(m) * I
     d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if d > 1e-24:
@@ -156,7 +152,10 @@ def _propagator(a: np.ndarray, t: float) -> np.ndarray:
         return math.cos(s) * np.eye(2) + (math.sin(s) / s) * m
     if d < -1e-24:
         s = math.sqrt(-d)
-        return math.cosh(s) * np.eye(2) + (math.sinh(s) / s) * m
+        try:
+            return math.cosh(s) * np.eye(2) + (math.sinh(s) / s) * m
+        except OverflowError:
+            raise NumericalError(f"R_t overflows at t = {t}") from None
     return np.eye(2) + m
 
 
@@ -164,7 +163,6 @@ def _propagator(a: np.ndarray, t: float) -> np.ndarray:
 class DecoherenceGaussian:
     """Calibrated Gaussian decoherence factor exp(-xi . M xi / hbar), with det M."""
 
-    t: float
     m: np.ndarray
     hbar: float
     det: float
@@ -253,7 +251,7 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
     if t < 0:
         raise NegativeTime(f"t = {t}")
     if t == 0:
-        return DecoherenceGaussian(0.0, np.zeros((2, 2)), hbar, 0.0)
+        return DecoherenceGaussian(np.zeros((2, 2)), hbar, 0.0)
     c, a, d = model.coupling_matrix, model.generator, model.generator_det
     x = -4.0 * d * t * t
     det = None
@@ -268,7 +266,7 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
     m = 0.5 * (m + m.T)
     if det is None:
         det = float(np.linalg.det(m))
-    return DecoherenceGaussian(float(t), m, hbar, det)
+    return DecoherenceGaussian(m, hbar, det)
 
 
 def _damped_terms(state: Superposition, model: LindbladModel, t: float):
@@ -466,7 +464,6 @@ class LiftingResult:
     tau_l: float
     spot: np.ndarray
     delta_series: Tuple[Tuple[float, float], ...]
-    criterion: dict
 
 
 def _refine_extremum(s: np.ndarray, v: np.ndarray, i: int) -> Tuple[float, float]:
@@ -529,11 +526,10 @@ def lifting_time(series: LineScanSeries, spot, epsilon: float = 1e-3) -> Lifting
         raise NeverLifted(
             f"contrast ratio {ratios[-1]:.3e} at t = {times[-1]} still above {epsilon}")
 
-    crit = {"epsilon": epsilon, "envelope": "adjacent-local-maxima-linear"}
     delta_series = tuple((float(t), float(d)) for t, d in zip(times, deltas))
     k = int(np.nonzero(ratios < epsilon)[0][0])
     if k == 0:
-        return LiftingResult(float(times[0]), spot, delta_series, crit)
+        return LiftingResult(float(times[0]), spot, delta_series)
 
     # bisection on the log-linear interpolant between the bracketing samples
     t_lo, t_hi = float(times[k - 1]), float(times[k])
@@ -542,7 +538,7 @@ def lifting_time(series: LineScanSeries, spot, epsilon: float = 1e-3) -> Lifting
     target = math.log(epsilon)
     tau_l = _bisect_earliest(lambda t: r_lo + (r_hi - r_lo) * (t - t_lo) / (t_hi - t_lo) < target,
                              t_lo, t_hi, 1e-3)
-    return LiftingResult(tau_l, spot, delta_series, crit)
+    return LiftingResult(tau_l, spot, delta_series)
 
 
 HUSIMI_DET = 1.0 / 16.0
@@ -615,7 +611,8 @@ def _auto_wigner_box(state: Superposition, gauss_end: DecoherenceGaussian):
     return ((float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1])))
 
 
-def _wigner_extrema(state, model, window, shape, t) -> Tuple[float, float]:
+def _wigner_minimum(state, model, window, shape, t) -> float:
+    """min W_t on the grid, refined parabolically along both axes."""
     ap, aq = grid_axes(window, shape)
     w = wigner_evolved_values(state, model, ap[:, None], aq[None, :], t).real
     i, j = np.unravel_index(np.argmin(w), w.shape)
@@ -624,7 +621,7 @@ def _wigner_extrema(state, model, window, shape, t) -> Tuple[float, float]:
         _, w_min_p = _refine_extremum(ap, w[:, j], i)
         _, w_min_q = _refine_extremum(aq, w[i, :], j)
         w_min = min(w_min, w_min_p, w_min_q)
-    return w_min, float(w.max())
+    return w_min
 
 
 def _interference_damping_time(state: Superposition, model: LindbladModel) -> float:
@@ -644,7 +641,8 @@ def _interference_damping_time(state: Superposition, model: LindbladModel) -> fl
 # Certified only if W < -margin * sum_k |term_k| (1 + |E_k|): far above the
 # round-off eps |E_k| of each term, far below the negativity that a step of
 # 1e-3 back from t_H leaves at a Husimi zero (4e-6 of that sum or more on
-# triplets, cats and a 6-term state, with and without H).
+# triplets, cats and a 6-term state, with and without H).  Both sides are
+# taken with the largest Re E_k factored out, so neither underflows.
 _CERTIFICATE_MARGIN = 1e-9
 
 
@@ -678,7 +676,8 @@ def _pair_zero_seeds(terms):
 
 
 def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: float):
-    """(x*, W, term scale) with W_t(x*) < 0 at t = (1 - 1e-3) t_H, or None.
+    """(x*, W / sum_k |term_k|, largest Re E_k) with W_t(x*) < 0 at
+    t = (1 - 1e-3) t_H, or None.
 
     chi_t = chi_Q exp(+xi . (M_{t_H} - M_t) xi / hbar), where M_{t_H} - M_t is
     positive semidefinite and chi_Q is the chord function of Q, the Husimi
@@ -706,10 +705,11 @@ def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: fl
         except (NoConvergence, SingularJacobian):
             continue
         exponents, _ = point_exponents(w_terms, x)
-        values = w_terms[0] * np.exp(exponents)
+        e_max = float(exponents.real.max())
+        values = w_terms[0] * np.exp(exponents - e_max)
         w = float(values.sum().real)
         if w < -_CERTIFICATE_MARGIN * float(np.abs(values) @ (1.0 + np.abs(exponents))):
-            return x, w, float(np.abs(values).sum())
+            return x, w / float(np.abs(values).sum()), e_max
     return None
 
 
@@ -730,8 +730,9 @@ def positivity_time(state: Superposition, model: LindbladModel,
     W_t >= 0 or NeverPositive is raised; a larger one is replaced by t_H.
     Without a Husimi bound the bracket starts at the time every interference
     term is damped below round-off and grows up to 8 times by a factor 1.6
-    before NeverPositive is raised.  One DEBUG record on the "blindspots"
-    logger says which path ran.
+    before NeverPositive is raised.  A grid of more than MAX_GRID_CELLS cells
+    raises NumericalError before it is evaluated.  One DEBUG record on the
+    "blindspots" logger says which path ran.
     """
     t_husimi = husimi_time(model)  # rejects a dissipative model
     require_normalized(state)
@@ -739,9 +740,10 @@ def positivity_time(state: Superposition, model: LindbladModel,
     if math.isfinite(t_husimi) and (t_max is None or t_max >= t_husimi):
         found = _husimi_certificate(state, model, t_husimi)
         if found is not None:
-            x, w, scale = found
+            x, w, e_max = found
             logger.debug("positivity_time: certificate t_H = %r, x* = (%r, %r), "
-                         "W = %.3e, term scale %.3e", t_husimi, x[0], x[1], w, scale)
+                         "W / sum |term| = %.3e, largest exponent %.4g", t_husimi, x[0], x[1],
+                         w, e_max)
             return t_husimi
 
     grow = 0
@@ -758,13 +760,16 @@ def positivity_time(state: Superposition, model: LindbladModel,
     step = 2.0 * math.pi * h / max(dmax, math.sqrt(h)) / 8.0
     shape = (int(math.ceil((window[0][1] - window[0][0]) / step)) + 1,
              int(math.ceil((window[1][1] - window[1][0]) / step)) + 1)
+    if shape[0] * shape[1] > MAX_GRID_CELLS:
+        raise NumericalError(f"positivity grid {shape[0]} x {shape[1]} exceeds "
+                             f"{MAX_GRID_CELLS} cells")
 
     evaluations = 0
 
     def positive(t: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        return _wigner_extrema(state, model, window, shape, t)[0] >= 0
+        return _wigner_minimum(state, model, window, shape, t) >= 0
 
     t_p = 0.0
     if not positive(0.0):
@@ -806,16 +811,18 @@ def triplet_timescales(state: Superposition, model: LindbladModel, series: LineS
 
 
 def lifting_ratio(state: Superposition, model: LindbladModel, *,
-                  spot=None, line=None, s_halfwidth: float | None = None,
-                  n_samples: int = 1201, times: Sequence[float] | None = None,
-                  epsilon: float = 1e-3, t_max: float | None = None) -> LiftingRatioResult:
+                  n_samples: int = 1201, times: Sequence[float] | None = None
+                  ) -> LiftingRatioResult:
     """End-to-end tau_l, t_p and the dimensional ratio tau_l A / (hbar t_p).
 
     The state must be a triplet with non-collinear centers; A is the area of
-    the center triangle.  Defaults scan through the blind spot nearest the
-    origin along the line joining it to the origin.  t_p is positivity_time:
-    the earliest t with W_t >= 0, bracketed by the Husimi bound when the
-    model has one.
+    the center triangle.  The scan runs through the Newton-refined blind spot
+    nearest the origin, along the line joining it to the origin, over
+    +-2.6 |spot|, and tau_l is taken at contrast ratio epsilon = 1e-3.  The
+    default times are 0 and 15 log-spaced times from 0.03 to 5 t*, where t*
+    smooths the fringe of the spot's spacing down to epsilon.  t_p is
+    positivity_time: the earliest t with W_t >= 0, bracketed by the Husimi
+    bound when the model has one.
     """
     from .spots import DiffractionModel, hexagonal_lattice, newton_refine
 
@@ -824,29 +831,19 @@ def lifting_ratio(state: Superposition, model: LindbladModel, *,
     if _triangle_area(state) <= 0:
         raise ValidationError("triplet centers are collinear")
 
-    if spot is None:
-        lattice = hexagonal_lattice(DiffractionModel.from_superposition(state))
-        node = lattice.first_shell(1)[0]
-        spot = newton_refine(state, node.xi).xi
-    spot = as_phase_vector(spot, "spot")
-
-    if line is None:
-        line = (np.zeros(2), spot / np.hypot(*spot))
-    if s_halfwidth is None:
-        s_halfwidth = 2.6 * np.hypot(*spot)
+    lattice = hexagonal_lattice(DiffractionModel.from_superposition(state))
+    spot = newton_refine(state, lattice.first_shell(1)[0].xi).xi
+    spacing = np.hypot(*spot)
+    line = (np.zeros(2), spot / spacing)
+    epsilon = 1e-3
 
     if times is None:
-        gauss1 = decoherence_matrix(model, 1.0, hbar=state.hbar)
-        sigma1 = smoothing_covariance(gauss1)
-        direction = np.asarray(line[1], dtype=float)
-        direction = direction / np.hypot(*direction)
+        sigma1 = smoothing_covariance(decoherence_matrix(model, 1.0, hbar=state.hbar))
+        direction = line[1] / np.hypot(*line[1])  # as scan_line normalises it
         sig_line = float(direction @ sigma1 @ direction)
-        spacing = float(np.hypot(*spot))
-        k = 2.0 * math.pi / spacing
+        k = 2.0 * math.pi / float(spacing)
         t_star = 2.0 * math.log(2.0 / epsilon) / (k * k * sig_line)
-        times = np.geomspace(0.03 * t_star, 5.0 * t_star, 15)
-        times = np.concatenate([[0.0], times])
+        times = np.concatenate([[0.0], np.geomspace(0.03 * t_star, 5.0 * t_star, 15)])
 
-    series = scan_line(state, model, line, (-s_halfwidth, s_halfwidth),
-                       n_samples, times)
-    return triplet_timescales(state, model, series, spot, epsilon, t_max)
+    series = scan_line(state, model, line, (-2.6 * spacing, 2.6 * spacing), n_samples, times)
+    return triplet_timescales(state, model, series, spot, epsilon, None)

@@ -77,6 +77,9 @@ class FieldGrid:
         return (self.window[1][1] - self.window[1][0]) / (self.shape[1] - 1)
 
 
+MAX_GRID_CELLS = 10 ** 7  # checked before allocation: config, spot-scan and positivity grids
+
+
 def grid_axes(window: Window, shape: Tuple[int, int]):
     (plo, phi), (qlo, qhi) = window
     return (np.linspace(plo, phi, shape[0]), np.linspace(qlo, qhi, shape[1]))
@@ -179,13 +182,13 @@ def fourier_2d(grid: FieldGrid, hbar: float, kind: str | None = None) -> FieldGr
     return FieldGrid(grid.window, grid.shape, out, kind or grid.kind)
 
 
-def self_dual_grid(hbar: float, halfwidth: float, min_samples: int = 3) -> Tuple[Window, Tuple[int, int]]:
+def self_dual_grid(hbar: float, halfwidth: float) -> Tuple[Window, Tuple[int, int]]:
     """Square odd grid matched to its own Fourier dual: h^2 N = 2 pi hbar.
 
-    Guarantees at least the requested halfwidth and sample count; on such a
+    Guarantees at least the requested halfwidth and 3 samples; on such a
     grid fourier_2d takes the FFT fast path and maps the grid onto itself.
     """
-    n = max(min_samples, int(np.ceil(4.0 * halfwidth * halfwidth / (2.0 * np.pi * hbar))) + 2)
+    n = max(3, int(np.ceil(4.0 * halfwidth * halfwidth / (2.0 * np.pi * hbar))) + 2)
     if n % 2 == 0:
         n += 1
     h = np.sqrt(2.0 * np.pi * hbar / n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     WrongArity,
 )
 from .chord import chord_values, gaussian_gradient, gaussian_sum, require_normalized
-from .fields import FieldGrid
+from .fields import MAX_GRID_CELLS, FieldGrid
 from .geometry import as_phase_vector, skew_solver
 from .states import Superposition
 
@@ -92,7 +92,6 @@ class BlindSpotLattice:
 
     basis: Tuple[np.ndarray, np.ndarray]
     offsets: Tuple[np.ndarray, np.ndarray]
-    index_range: Tuple[Tuple[int, int], Tuple[int, int]]
     nodes: Tuple[LatticeNode, ...]
     angles: Tuple[TriangleAngles, TriangleAngles]
     hbar: float
@@ -115,7 +114,6 @@ class RefinedSpot:
     residual: float
     iterations: int
     seed: np.ndarray
-    lattice_index: Optional[Tuple[int, int, str]] = None
 
 
 @dataclass(frozen=True)
@@ -191,25 +189,23 @@ def hexagonal_lattice(model: DiffractionModel,
             nodes.append(LatticeNode(xi, k1, k2, ang.branch))
         offsets.append(solve(model.hbar * ang.theta1, model.hbar * ang.theta2))
     nodes.sort(key=lambda n: (n.sublattice, n.k1, n.k2))
-    return BlindSpotLattice(basis, (offsets[0], offsets[1]), k_range, tuple(nodes),
-                            (plus, minus), model.hbar)
+    return BlindSpotLattice(basis, (offsets[0], offsets[1]), tuple(nodes), (plus, minus),
+                            model.hbar)
 
 
 def newton_refine(state: Superposition, seed, tol: float = 1e-12,
-                  max_iter: int = 50, max_travel: float | None = None) -> RefinedSpot:
+                  max_iter: int = 50) -> RefinedSpot:
     """Blind spot near seed: newton_zero on the state's chord pair terms.
 
-    max_travel (default 5 sqrt(hbar)) catches iterates escaping down the
+    Iterates more than 5 sqrt(hbar) from the seed have escaped down the
     Gaussian envelope: a zero-free chord function decays below any tolerance
     far from the origin, which must count as no convergence, not as a zero.
     """
     require_normalized(state)
     if not tol > 0:
         raise ValidationError("tol must be positive")
-    if max_travel is None:
-        max_travel = 5.0 * math.sqrt(state.hbar)
     return newton_zero(state.chord_terms, as_phase_vector(seed, "seed"), tol, max_iter,
-                       max_travel)
+                       5.0 * math.sqrt(state.hbar))
 
 
 def newton_zero(terms, seed: np.ndarray, tol: float, max_iter: int,
@@ -255,50 +251,52 @@ def newton_zero(terms, seed: np.ndarray, tol: float, max_iter: int,
     raise NoConvergence(f"|f| = {abs(f):.3e} after {max_iter} iterations from seed {seed}")
 
 
-def _parabolic_floor(v: np.ndarray, i: int, j: int) -> float:
-    """Estimated basin minimum of |chi|^2 from the 3x3 patch around a grid min."""
-    v0 = v[i, j]
-    est = v0
-    for (da, db) in (((1, 0), (-1, 0)), ((0, 1), (0, -1))):
-        vp = v[i + da[0], j + da[1]]
-        vm = v[i + db[0], j + db[1]]
-        curv = vp - 2.0 * v0 + vm
-        if curv > 0:
-            grad = 0.5 * (vp - vm)
-            est -= 0.5 * grad * grad / curv
-    return max(0.0, float(est))
+_SEED_THRESHOLD = 1e-2  # largest estimated basin floor of |chi|^2 that seeds Newton
 
 
 def find_spots_generic(state: Superposition, window, grid_step: float,
-                       tol: float = 1e-12, seed_threshold: float = 1e-2,
-                       max_iter: int = 50) -> List[RefinedSpot]:
+                       tol: float = 1e-12, max_iter: int = 50) -> List[RefinedSpot]:
     """Scan |chi|^2 for local minima, Newton-refine, deduplicate.
 
-    Works for any number of states; an empty list is a valid result (a single
-    coherent state has no zeros at all).
+    A seed is an interior grid point that is the smallest of its 3x3 patch
+    and whose parabolic estimate of the basin floor (per axis, where the
+    curvature is positive) lies below _SEED_THRESHOLD.  Works for any number
+    of states; an empty list is a valid result (a single coherent state has
+    no zeros at all).  A scan grid of more than MAX_GRID_CELLS points raises
+    ValidationError before it is allocated.
     """
     require_normalized(state)
     (plo, phi), (qlo, qhi) = window
-    n_p = max(4, int(math.ceil((phi - plo) / grid_step)) + 1)
-    n_q = max(4, int(math.ceil((qhi - qlo) / grid_step)) + 1)
+    # the clamp keeps ceil finite for a subnormal step; the cap then rejects it
+    with np.errstate(over="ignore"):
+        n_p = max(4, int(math.ceil(min((phi - plo) / grid_step, MAX_GRID_CELLS))) + 1)
+        n_q = max(4, int(math.ceil(min((qhi - qlo) / grid_step, MAX_GRID_CELLS))) + 1)
+    if n_p * n_q > MAX_GRID_CELLS:
+        raise ValidationError(f"a scan grid of {n_p} x {n_q} points exceeds "
+                              f"{MAX_GRID_CELLS} cells; use a larger grid_step")
     ap = np.linspace(plo, phi, n_p)
     aq = np.linspace(qlo, qhi, n_q)
     v = np.abs(chord_values(state, ap[:, None], aq[None, :])) ** 2
 
+    v0 = v[1:-1, 1:-1]
+    seeded = v0 <= np.lib.stride_tricks.sliding_window_view(v, (3, 3)).min(axis=(2, 3))
+    # basin floor: each axis with positive curvature lowers v0 by grad^2 / 2 curv
+    floor = v0
+    for vp, vm in ((v[2:, 1:-1], v[:-2, 1:-1]), (v[1:-1, 2:], v[1:-1, :-2])):
+        curv = vp - 2.0 * v0 + vm
+        grad = 0.5 * (vp - vm)
+        bent = curv > 0
+        floor = np.where(bent, floor - 0.5 * grad * grad / np.where(bent, curv, 1.0), floor)
+    seeded &= floor < _SEED_THRESHOLD
+
     candidates = []
-    for i in range(1, n_p - 1):
-        for j in range(1, n_q - 1):
-            patch = v[i - 1:i + 2, j - 1:j + 2]
-            if v[i, j] > patch.min():
-                continue
-            if _parabolic_floor(v, i, j) >= seed_threshold:
-                continue
-            try:
-                spot = newton_refine(state, (ap[i], aq[j]), tol=tol, max_iter=max_iter)
-            except (NoConvergence, SingularJacobian):
-                continue
-            if plo <= spot.xi[0] <= phi and qlo <= spot.xi[1] <= qhi:
-                candidates.append(spot)
+    for i, j in zip(*np.nonzero(seeded)):
+        try:
+            spot = newton_refine(state, (ap[i + 1], aq[j + 1]), tol=tol, max_iter=max_iter)
+        except (NoConvergence, SingularJacobian):
+            continue
+        if plo <= spot.xi[0] <= phi and qlo <= spot.xi[1] <= qhi:
+            candidates.append(spot)
 
     # candidates are in grid order of their seeds, and the earliest seed of a
     # spot is kept: residuals at round-off level must not decide it

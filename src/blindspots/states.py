@@ -22,7 +22,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .errors import NotSymplectic, ValidationError
+from .errors import ValidationError
 from .geometry import (
     as_phase_vector,
     check_symplectic,
@@ -190,16 +190,9 @@ def apply_symplectic(state: Superposition, s) -> Superposition:
 
     Centers map to S eta, frames to S F, and each amplitude absorbs the
     metaplectic phase of its term, so the chord function transports
-    classically: chi'(S xi) = chi(xi).
+    classically: chi'(S xi) = chi(xi).  S must pass check_symplectic.
     """
-    m = np.asarray(s, dtype=float)
-    ok = m.shape == (2, 2) and np.all(np.isfinite(m))
-    if ok:
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        ok = abs(det - 1.0) <= 1e-9
-    if not ok:
-        raise NotSymplectic(f"matrix is not symplectic within 1e-9: {s!r}")
-
+    m = check_symplectic(s)
     new_terms = []
     for a, g in state.terms:
         phase = metaplectic_phase(m, g.width)

@@ -318,6 +318,10 @@ def valid_config(subcommand):
     ("decohere", "summary", 0),
     ("grid", "states[0].amplitude", True),
     ("grid", "states[0].amplitude", [1.0, False]),
+    # vectors and matrices take numbers only, entry by entry
+    ("grid", "states[0].center", [True, 0.0]),
+    ("grid", "states[0].frame", [[1.0, "0"], [0.0, 1.0]]),
+    ("decohere", "lindblad.h", [["1", 0.0], [0.0, 1.0]]),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, subcommand, key, value):
     # a key that starts with a top-level name of the config is a path from the
@@ -390,6 +394,33 @@ def test_oversized_output_exits_2_before_allocating(tmp_path, capsys, monkeypatc
     assert captured.out == ""
     key = "n_samples" if subcommand == "decohere" else "shape"
     assert captured.err.startswith(f"error: bad {subcommand}.{key}")
+
+
+def test_huge_scan_or_check_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(spots, "chord_values", refuse)
+    monkeypatch.setattr(cli.np.random, "default_rng", refuse)
+    cfg = valid_config("spots")
+    for step in (1e-9, 1e-320):  # 1.6e9 points per axis, and an infinite count
+        cfg["spots"]["grid_step"] = step
+        assert main(["spots", write_config(tmp_path, "scan.json", cfg)]) == 2
+        assert "exceeds" in capsys.readouterr().err
+    cfg = valid_config("check")
+    cfg["check"]["n_random"] = cli.MAX_GRID_CELLS + 1
+    assert main(["check", write_config(tmp_path, "check.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad check.n_random")
+
+
+def test_decohere_flow_overflow_exits_3(tmp_path, capsys):
+    cfg = valid_config("decohere")
+    cfg["lindblad"] = {"h": [[0.0, 0.5], [0.5, 0.0]], "couplings": [{"re": [0.0, 1.0]}]}
+    cfg["decohere"]["times"] = [800.0]
+    assert main(["decohere", write_config(tmp_path, "flow.json", cfg)]) == 3
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_removed_positivity_tol_key_exits_2(tmp_path, capsys):

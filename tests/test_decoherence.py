@@ -20,7 +20,6 @@ from blindspots import (
     correlation_evolved_points,
     correlation_pure,
     decoherence_matrix,
-    dissipation_coeff,
     evolved_chord,
     evolved_chord_grid,
     evolved_correlation,
@@ -91,11 +90,11 @@ def test_model_requires_symmetric_hamiltonian():
 
 
 def test_dissipation_coefficient():
-    assert dissipation_coeff(LindbladModel.position_momentum()) == 0.0
+    assert LindbladModel.position_momentum().alpha == 0.0
     single_real = LindbladModel(np.zeros((2, 2)), (np.array([1.0, 0.0]),))
-    assert dissipation_coeff(single_real) == 0.0
+    assert single_real.alpha == 0.0
     mixed = LindbladModel(np.zeros((2, 2)), (np.array([1.0, 0.0]) + 1j * np.array([0.0, 1.0]),))
-    assert dissipation_coeff(mixed) == -1.0
+    assert mixed.alpha == -1.0
 
 
 def test_propagator_zero_hamiltonian():
@@ -718,13 +717,13 @@ CERTIFIED_MODELS = {
 def wigner_grid_calls(monkeypatch):
     """Records every grid evaluation of positivity_time's search."""
     calls = []
-    original = decoherence._wigner_extrema
+    original = decoherence._wigner_minimum
 
     def spy(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(decoherence, "_wigner_extrema", spy)
+    monkeypatch.setattr(decoherence, "_wigner_minimum", spy)
     return calls
 
 
@@ -759,12 +758,60 @@ def test_husimi_probe_chord_matrix():
     assert np.max(np.abs(c + m / HBAR)) <= 1e-9 * np.max(np.abs(m / HBAR))
 
 
-def test_husimi_certificate_declines_flow_beyond_frame_precision():
+def hyperbolic_model(strength):
+    return LindbladModel(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                         (strength * np.array([1.0, 0.3]),))
+
+
+def test_husimi_certificate_holds_beyond_frame_precision():
     # R_{t_H} of this hyperbolic flow has entries near 670, so det R misses 1
-    # by 3e-11 and the moved frames are rejected: the grid search must run
-    model = LindbladModel(np.array([[0.0, 1.0], [1.0, 0.0]]), (np.array([0.1, 0.03]),))
+    # by 1e-11, within the round-off that the frame check allows for them
+    model = hyperbolic_model(0.1)
+    state = triplet(COMPACT_CENTERS)
     t_h = husimi_time(model)
-    assert decoherence._husimi_certificate(triplet(COMPACT_CENTERS), model, t_h) is None
+    x, w, _ = decoherence._husimi_certificate(state, model, t_h)
+    assert w < 0
+    offsets = np.linspace(-0.05, 0.05, 101)
+    w = wigner_evolved_values(state, model, x[0] + offsets[:, None], x[1] + offsets[None, :],
+                              t_h * (1 - 2e-3))
+    assert w.real.min() < 0
+    # weaker couplings reach t_H later: entries near 7e3 and 7e4, det off by
+    # 3e-9 and 4e-7
+    for strength in (0.03, 0.01):
+        model = hyperbolic_model(strength)
+        assert decoherence._husimi_certificate(state, model, husimi_time(model))[1] < 0
+
+
+@pytest.fixture
+def no_wigner_grid(monkeypatch):
+    """Fails the test if positivity_time evaluates a Wigner grid."""
+    def refuse(*args):
+        raise AssertionError("a Wigner grid was evaluated")
+
+    monkeypatch.setattr(decoherence, "_wigner_minimum", refuse)
+
+
+# every term of W_t underflows at x*: the largest exponent is -1021 to -3210,
+# and the automatic grids would have 3e8 to 2.5e9 cells
+SMALL_HBAR_STATES = {
+    "hbar 0.002, corner 4.9": triplet([(0.0, 0.0), (4.9, 0.0), (0.0, 4.9)], hbar=0.002),
+    "hbar 0.003, compact x 3.3": triplet(3.3 * np.array(COMPACT_CENTERS), hbar=0.003),
+    "hbar 0.001, compact x 2": triplet(2.0 * np.array(COMPACT_CENTERS), hbar=0.001),
+    "hbar 0.001, compact x 3.3": triplet(3.3 * np.array(COMPACT_CENTERS), hbar=0.001),
+}
+
+
+@pytest.mark.parametrize("model_name", ["pq", "H=diag(1,1/4), p and q"])
+@pytest.mark.parametrize("state_name", SMALL_HBAR_STATES)
+def test_positivity_time_certified_at_small_hbar(caplog, no_wigner_grid, state_name, model_name):
+    state, model = SMALL_HBAR_STATES[state_name], CERTIFIED_MODELS[model_name]
+    with caplog.at_level(logging.DEBUG, logger="blindspots"):
+        assert positivity_time(state, model) == husimi_time(model)
+    (record,) = positivity_records(caplog)
+    assert "certificate" in record.getMessage()
+    _, _, _, w, e_max = record.args
+    assert w < 0
+    assert e_max < -1000
 
 
 ONE_COUPLING = LindbladModel(np.zeros((2, 2)), (np.array([1.0, 0.0]),))
@@ -798,11 +845,27 @@ def test_positivity_time_grid_fallbacks(caplog, wigner_grid_calls, name):
     assert wigner_grid_calls
 
 
+def test_positivity_grid_cap_checked_before_allocating(no_wigner_grid):
+    # no Husimi bound, and fringes of a cat 5 apart at hbar = 1e-3: the
+    # automatic grid would have 35115 x 3284 cells
+    cat = normalize(Superposition.from_centers(1e-3, [1.0, 1.0], [(0, 0), (5.0, 0)]))
+    with pytest.raises(NumericalError, match="exceeds"):
+        positivity_time(cat, ONE_COUPLING)
+
+
+def test_flow_overflow_is_typed(compact_triplet):
+    # the coupling lies on the contracting direction, so M_t stays finite and
+    # only R_t overflows
+    model = LindbladModel(np.array([[0.0, 0.5], [0.5, 0.0]]), (np.array([0.0, 1.0]),))
+    with pytest.raises(NumericalError, match="R_t overflows"):
+        correlation_evolved_points(compact_triplet, model, np.zeros((1, 2)), 800.0)
+
+
 def test_wigner_minimum_monotone(corner_triplet, pq_model):
-    from blindspots.decoherence import _wigner_extrema
+    from blindspots.decoherence import _wigner_minimum
     window = ((-2.0, 7.0), (-2.0, 7.0))
     shape = (901, 901)
-    mins = [_wigner_extrema(corner_triplet, pq_model, window, shape, t)[0]
+    mins = [_wigner_minimum(corner_triplet, pq_model, window, shape, t)
             for t in (0.0, 0.02, 0.05, 0.1)]
     assert all(b > a for a, b in zip(mins, mins[1:]))
 

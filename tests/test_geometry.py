@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blindspots import NotSymplectic, ValidationError, skew
+from blindspots import NotSymplectic, ValidationError, propagator_matrix, skew
 from blindspots.geometry import check_symplectic, width_from_frame
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -51,6 +51,14 @@ def test_check_symplectic_accepts_rotation():
 def test_check_symplectic_rejects_scaling():
     with pytest.raises(NotSymplectic):
         check_symplectic([[2.0, 0.0], [0.0, 1.0]])
+
+
+def test_check_symplectic_tolerance_follows_round_off():
+    # a hyperbolic R_t with entries near 670: det misses 1 by 2.5e-11
+    check_symplectic(propagator_matrix([[0.0, 1.0], [1.0, 0.0]], 3.25))
+    # large entries do not hide a determinant that is off by 1e-6
+    with pytest.raises(NotSymplectic):
+        check_symplectic([[1000.0, 1000.0], [(1e6 - 1.0 - 1e-6) / 1000.0, 1000.0]])
 
 
 def test_width_identity_frame():

@@ -11,6 +11,7 @@ from blindspots import (
     RefinedSpot,
     Superposition,
     TriangleAngles,
+    ValidationError,
     WrongArity,
     apply_symplectic,
     chord_exact,
@@ -229,6 +230,16 @@ def test_find_spots_empty_for_single_state():
     assert find_spots_generic(st, ((-0.3, 0.3), (-0.3, 0.3)), 0.05) == []
 
 
+def test_find_spots_cell_cap_checked_before_allocating(monkeypatch, compact_triplet):
+    def refuse(*args):
+        raise AssertionError("the scan grid was evaluated")
+
+    monkeypatch.setattr(spots_module, "chord_values", refuse)
+    r = 3.0 * np.sqrt(HBAR)  # 1.6e9 points per axis at grid_step 1e-9
+    with pytest.raises(ValidationError, match="exceeds"):
+        find_spots_generic(compact_triplet, ((-r, r), (-r, r)), 1e-9)
+
+
 def test_find_spots_matches_lattice_pipeline(compact_triplet):
     window = ((-0.5, 0.5), (-0.5, 0.5))
     found = find_spots_generic(compact_triplet, window, 0.02)
@@ -284,6 +295,49 @@ def test_find_spots_keeps_earliest_seed_of_a_duplicate(monkeypatch, compact_trip
     assert len(found) == 1
     assert found[0].iterations == 1
     assert np.array_equal(found[0].seed, calls[0])
+
+
+def cellwise_seeds(state, window, step, threshold=1e-2):
+    """Reference for the scan's seed test, cell by cell: the smallest point of
+    its 3x3 patch, whose parabolic basin floor lies below the threshold."""
+    (plo, phi), (qlo, qhi) = window
+    ap = np.linspace(plo, phi, max(4, int(np.ceil((phi - plo) / step)) + 1))
+    aq = np.linspace(qlo, qhi, max(4, int(np.ceil((qhi - qlo) / step)) + 1))
+    v = np.abs(chord_values(state, ap[:, None], aq[None, :])) ** 2
+    seeds = []
+    for i in range(1, len(ap) - 1):
+        for j in range(1, len(aq) - 1):
+            if v[i, j] > v[i - 1:i + 2, j - 1:j + 2].min():
+                continue
+            est = v[i, j]
+            for vp, vm in ((v[i + 1, j], v[i - 1, j]), (v[i, j + 1], v[i, j - 1])):
+                curv = vp - 2.0 * v[i, j] + vm
+                if curv > 0:
+                    grad = 0.5 * (vp - vm)
+                    est -= 0.5 * grad * grad / curv
+            if max(0.0, float(est)) < threshold:
+                seeds.append((ap[i], aq[j]))
+    return seeds
+
+
+@pytest.mark.parametrize("step", [0.012, 0.02])
+def test_find_spots_seeds_match_cellwise_reference(monkeypatch, compact_triplet, oblique_triplet,
+                                                   step):
+    rng = np.random.default_rng(3)
+    four = normalize(Superposition.from_centers(HBAR, [1.0] * 4, rng.uniform(-1.5, 1.5, (4, 2))))
+    window = ((-0.4, 0.35), (-0.35, 0.4))
+    seeds = []
+
+    def refine(state, seed, tol, max_iter):
+        seeds.append(seed)
+        raise NoConvergence("recorded")
+
+    monkeypatch.setattr(spots_module, "newton_refine", refine)
+    for state in (compact_triplet, oblique_triplet, four):
+        seeds.clear()
+        assert find_spots_generic(state, window, step) == []
+        assert seeds == cellwise_seeds(state, window, step)
+        assert seeds
 
 
 def test_nodal_lines_structure(compact_triplet):
