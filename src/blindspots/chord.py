@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import BadQuadrature, ImaginaryResidue, NotNormalized, ZeroNorm
+from .errors import BadQuadrature, ImaginaryResidue, NotNormalized, ValidationError, ZeroNorm
 from .geometry import J, as_phase_vector
 from .states import MixedEnsemble, Superposition
 
@@ -182,10 +182,10 @@ def state_norm_squared(state: Superposition) -> float:
     return float((mu @ np.exp(c0)).real)
 
 
-def require_normalized(state: Superposition, tol: float = NORMALIZATION_TOL) -> None:
+def require_normalized(state: Superposition) -> None:
     n2 = state_norm_squared(state)
-    if abs(n2 - 1.0) > tol:
-        raise NotNormalized(f"<Psi|Psi> = {n2}, differs from 1 by more than {tol}")
+    if abs(n2 - 1.0) > NORMALIZATION_TOL:
+        raise NotNormalized(f"<Psi|Psi> = {n2}, differs from 1 by more than {NORMALIZATION_TOL}")
 
 
 def normalize(state: Superposition) -> Superposition:
@@ -200,7 +200,7 @@ def normalize(state: Superposition) -> Superposition:
 def overlap(bra: Superposition, ket: Superposition) -> complex:
     """<bra|ket> for two superpositions at the same hbar."""
     if abs(bra.hbar - ket.hbar) > 1e-15 * max(bra.hbar, ket.hbar):
-        raise ValueError("states live at different hbar")
+        raise ValidationError("states live at different hbar")
     mu, c0, _, _ = pair_arrays(bra.terms, ket.terms, bra.hbar)
     return complex(mu @ np.exp(c0))
 

@@ -27,7 +27,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .chord import chord_values, normalize, chord_quadrature, chord_exact, wigner_values
+from .chord import chord_values, normalize, chord_quadrature, chord_exact, overlap, wigner_values
 from .fields import (
     MAX_GRID_CELLS,
     correlation_grid,
@@ -154,9 +154,7 @@ SCHEMA = {
               "shape": (_shape, REQUIRED)}, REQUIRED),
     "spots": ({"window": (_window, None),
                "grid_step": (_within(_real, lambda s: s > 0), None),
-               "tol": (_real, 1e-12),
-               "k_range": (_within(_pair(_int_pair), _index_box), ((-2, 2), (-2, 2))),
-               "max_iter": (_integer, 50)}, {}),
+               "k_range": (_within(_pair(_int_pair), _index_box), ((-2, 2), (-2, 2)))}, {}),
     "decohere": ({"line": ({"point": (_vector, REQUIRED),
                             "direction": (_within(_vector, np.any), REQUIRED)}, REQUIRED),
                   "s_range": (_float_pair, REQUIRED),
@@ -164,8 +162,7 @@ SCHEMA = {
                   "times": (_times, REQUIRED),
                   "epsilon": (_real, 1e-3),
                   "spot": (_optional(_vector), None),
-                  "summary": (_boolean, True),
-                  "t_max": (_optional(_real), None)}, REQUIRED),
+                  "summary": (_boolean, True)}, REQUIRED),
     "invert": ({"branch": (_one_of("plus", "minus"), "plus"),
                 "spots": ([_INVERT_SPOT, _INVERT_SPOT], REQUIRED)}, REQUIRED),
     "check": ({"seed": (_within(_integer, lambda n: n >= 0), 20260808),
@@ -274,7 +271,6 @@ def cmd_grid(cfg: dict, out: IO[str]) -> int:
 def cmd_spots(cfg: dict, out: IO[str]) -> int:
     state = _state_from_config(cfg)
     block = cfg["spots"]
-    tol, max_iter = block["tol"], block["max_iter"]
 
     lines = _meta_lines(cfg, "spots")
     lines.append("# triangle sides = |a_n|^2 (closure contract)")
@@ -298,7 +294,7 @@ def cmd_spots(cfg: dict, out: IO[str]) -> int:
             # all weight phasors together, so they seed the original state
             for node in lattice.nodes:
                 try:
-                    spot = newton_refine(state, node.xi, tol=tol, max_iter=max_iter)
+                    spot = newton_refine(state, node.xi)
                 except (NumericalError,):
                     continue
                 rows.append((spot, node.k1, node.k2, node.sublattice))
@@ -310,7 +306,7 @@ def cmd_spots(cfg: dict, out: IO[str]) -> int:
         r = 3.0 * np.sqrt(state.hbar)
         win = block["window"] or ((-r, r), (-r, r))
         step = block["grid_step"] or np.sqrt(state.hbar) / 15.0
-        for spot in find_spots_generic(state, win, step, tol=tol, max_iter=max_iter):
+        for spot in find_spots_generic(state, win, step):
             rows.append((spot, None, None, ""))
 
     if note:
@@ -368,8 +364,7 @@ def cmd_decohere(cfg: dict, out: IO[str]) -> int:
         spot = block["spot"]
         if spot is None:
             spot = _auto_line_spot(state, point, direction)
-        summary = triplet_timescales(state, model, series, spot, block["epsilon"],
-                                     block["t_max"])
+        summary = triplet_timescales(state, model, series, spot, block["epsilon"])
         lines.append(f"# spot = {_fmt(summary.spot[0])} {_fmt(summary.spot[1])}")
         lines.append(f"# tau_l = {_fmt(summary.tau_l)}")
         lines.append(f"# t_p = {_fmt(summary.t_p)}")
@@ -420,22 +415,19 @@ def cmd_check(cfg: dict, out: IO[str]) -> int:
     record("normalization chi(0) = 1", abs(n2 - 1.0) <= 1e-12, f"|chi(0)| - 1 = {n2 - 1:.3e}")
 
     xis = rng.normal(scale=np.sqrt(state.hbar) * 3, size=(n_random, 2))
-    herm = max(abs(complex(chord_values(state, -x[0], -x[1]))
-                   - np.conj(complex(chord_values(state, x[0], x[1])))) for x in xis)
+    # (chi(xi), chi(-xi)) at each random chord, for both symmetry checks
+    chis = [(complex(chord_values(state, x[0], x[1])), complex(chord_values(state, -x[0], -x[1])))
+            for x in xis]
+    herm = max(abs(b - np.conj(a)) for a, b in chis)
     record("hermiticity chi(-xi) = chi*(xi)", herm <= 1e-12, f"max dev = {herm:.3e}")
 
-    parity = 0.0
-    for x in xis:
-        a = complex(chord_values(state, x[0], x[1]))
-        b = complex(chord_values(state, -x[0], -x[1]))
-        parity = max(parity, abs(a.real - b.real), abs(a.imag + b.imag))
+    parity = max(max(abs(a.real - b.real), abs(a.imag + b.imag)) for a, b in chis)
     record("parity: Re even, Im odd", parity <= 1e-12, f"max dev = {parity:.3e}")
 
     quad = max(abs(chord_exact(state, x) - chord_quadrature(state, x)) for x in xis[:3])
     record("oracle: quadrature matches", quad <= 1e-8, f"max dev = {quad:.3e}")
 
     trans = 0.0
-    from .chord import overlap
     for x in xis[:3]:
         shifted = translate_state(state, x)
         trans = max(trans, abs(abs(overlap(state, shifted)) - abs(chord_exact(state, x))))

@@ -67,7 +67,7 @@ from .chord import (
 )
 from .fields import MAX_GRID_CELLS, FieldGrid, fourier_2d, grid_axes, require_adequate
 from .geometry import J, as_phase_vector, skew
-from .spots import newton_zero
+from .spots import DiffractionModel, hexagonal_lattice, newton_refine, newton_zero
 from .states import GaussianState, Superposition, apply_symplectic
 
 ALPHA_TOL = 1e-12
@@ -164,7 +164,6 @@ class DecoherenceGaussian:
     """Calibrated Gaussian decoherence factor exp(-xi . M xi / hbar), with det M."""
 
     m: np.ndarray
-    hbar: float
     det: float
 
 
@@ -230,7 +229,7 @@ def _hyperbolic_m(a: np.ndarray, c: np.ndarray, kappa: float,
     return m, float(det)
 
 
-def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> DecoherenceGaussian:
+def decoherence_matrix(model: LindbladModel, t: float) -> DecoherenceGaussian:
     """M_t = (1/2) int_0^t R_{-s}^T C R_{-s} ds in closed form.
 
     A = 2 J H is traceless, so R_{-s} = exp(-A s) = c(s) I - S(s) A and
@@ -251,7 +250,7 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
     if t < 0:
         raise NegativeTime(f"t = {t}")
     if t == 0:
-        return DecoherenceGaussian(np.zeros((2, 2)), hbar, 0.0)
+        return DecoherenceGaussian(np.zeros((2, 2)), 0.0)
     c, a, d = model.coupling_matrix, model.generator, model.generator_det
     x = -4.0 * d * t * t
     det = None
@@ -266,19 +265,24 @@ def decoherence_matrix(model: LindbladModel, t: float, hbar: float = 1.0) -> Dec
     m = 0.5 * (m + m.T)
     if det is None:
         det = float(np.linalg.det(m))
-    return DecoherenceGaussian(m, hbar, det)
+    return DecoherenceGaussian(m, det)
 
 
 def _damped_terms(state: Superposition, model: LindbladModel, t: float):
     """chi_t as terms: the state's chord terms (mu[K], c0[K], b[K, 2],
     C[K, 2, 2]) transported by the classical flow R_{-t}, with C' - M_t / hbar,
     after the checks that every evolved quantity needs (decoherence_matrix
-    checks the model and t)."""
-    m = decoherence_matrix(model, t, hbar=state.hbar).m
+    checks the model and t).  NumericalError once the transported b or C
+    overflows, as under a hyperbolic flow at large t."""
+    m = decoherence_matrix(model, t).m
     require_normalized(state)
     r_back = _propagator(model.generator, -t)
     mu, c0, b, c = state.chord_terms
-    return mu, c0, b @ r_back, r_back.T @ c @ r_back - m / state.hbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, c = b @ r_back, r_back.T @ c @ r_back
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        raise NumericalError(f"R_t overflows the chord terms at t = {t}")
+    return mu, c0, b, c - m / state.hbar
 
 
 def evolved_chord(state: Superposition, model: LindbladModel, xi, t: float) -> complex:
@@ -311,9 +315,9 @@ def evolved_correlation(state: Superposition, model: LindbladModel, window, shap
 
 # -- closed-form Gaussian algebra ----------------------------------------------
 
-def smoothing_covariance(gauss: DecoherenceGaussian) -> np.ndarray:
+def smoothing_covariance(m: np.ndarray, hbar: float) -> np.ndarray:
     """Covariance of the correlation-smoothing kernel: -4 hbar J M J."""
-    return -4.0 * gauss.hbar * (J @ gauss.m @ J)
+    return -4.0 * hbar * (J @ m @ J)
 
 
 # The folded sum's factors e^A, e^B, e^Gamma and e^g are formed only when the
@@ -600,10 +604,10 @@ def husimi_time(model: LindbladModel) -> float:
     return math.inf
 
 
-def _auto_wigner_box(state: Superposition, gauss_end: DecoherenceGaussian):
+def _auto_wigner_box(state: Superposition, m_end: np.ndarray):
     centers = state.centers
     pad = 8.0 * math.sqrt(state.hbar / min(g.width.real for g in state.states))
-    sig = smoothing_covariance(gauss_end)
+    sig = smoothing_covariance(m_end, state.hbar)
     # Wigner smoothing covariance is one quarter of the correlation one
     pad += 4.0 * math.sqrt(max(1e-300, float(np.linalg.eigvalsh(sig).max())) / 4.0)
     lo = centers.min(axis=0) - pad
@@ -628,7 +632,7 @@ def _interference_damping_time(state: Superposition, model: LindbladModel) -> fl
     """Time by which the slowest-damped interference term of W_t falls below
     double-precision round-off, exp(-xi . M_t xi / hbar) < eps at its chord xi."""
     h = state.hbar
-    m1 = decoherence_matrix(model, 1.0, hbar=h).m
+    m1 = decoherence_matrix(model, 1.0).m
     centers = state.centers
     rates = [2.0 * float(xi @ m1 @ xi) / h
              for i in range(len(centers)) for xi in centers[i + 1:] - centers[i]]
@@ -691,17 +695,17 @@ def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: fl
     h = state.hbar
     t = (1.0 - _POSITIVITY_PRECISION) * t_husimi
     try:
-        probe = _husimi_probe(decoherence_matrix(model, t_husimi, hbar=h).m)
+        probe = _husimi_probe(decoherence_matrix(model, t_husimi).m)
         moved = apply_symplectic(state, _propagator(model.generator, t))
     except NotSymplectic:
         return None
     mu, c0, b, c = amplitude = pair_arrays(((1.0, probe),), moved.terms, h)
     w_terms = fourier_terms(_damped_terms(state, model, t), h)
     for seed in _pair_zero_seeds(amplitude):
-        # the largest term is 1 at the seed, so that tol is relative
+        # the largest term is 1 at the seed, so that NEWTON_TOL is relative
         top = point_exponents(amplitude, seed)[0].real.max()
         try:
-            x = newton_zero((mu, c0 - top, b, c), seed, 1e-12, 50, 5.0 * math.sqrt(h)).xi
+            x = newton_zero((mu, c0 - top, b, c), seed, 5.0 * math.sqrt(h)).xi
         except (NoConvergence, SingularJacobian):
             continue
         exponents, _ = point_exponents(w_terms, x)
@@ -713,21 +717,18 @@ def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: fl
     return None
 
 
-def positivity_time(state: Superposition, model: LindbladModel,
-                    t_max: float | None = None) -> float:
+def positivity_time(state: Superposition, model: LindbladModel) -> float:
     """Earliest t with W_t >= 0, to 1e-3 relative.
 
     The upper bracket is the Husimi bound t_H = husimi_time(model): from
     there on W_t >= 0 is a theorem, and every non-Gaussian pure state has
     t_p = t_H, since W_{t_H} is a Husimi function and those have zeros.  So
-    when t_H is finite and t_max does not cut below it, t_H is returned as
-    soon as one point x* shows W_t(x*) < 0 at t = (1 - 1e-3) t_H
-    (_husimi_certificate), without a grid.  Otherwise, or when no point is
-    certified, the sign of min W_t on a grid covering the state (steps of
-    1/8 of the shortest fringe period, minima refined parabolically) is
-    bisected in t; the bracket end t_H is not evaluated (W_t has exact zeros
-    there, which round-off can turn negative).  A t_max below t_H must give
-    W_t >= 0 or NeverPositive is raised; a larger one is replaced by t_H.
+    when t_H is finite, t_H is returned as soon as one point x* shows
+    W_t(x*) < 0 at t = (1 - 1e-3) t_H (_husimi_certificate), without a grid.
+    Otherwise, or when no point is certified, the sign of min W_t on a grid
+    covering the state (steps of 1/8 of the shortest fringe period, minima
+    refined parabolically) is bisected in t; the bracket end t_H is not
+    evaluated (W_t has exact zeros there, which round-off can turn negative).
     Without a Husimi bound the bracket starts at the time every interference
     term is damped below round-off and grows up to 8 times by a factor 1.6
     before NeverPositive is raised.  A grid of more than MAX_GRID_CELLS cells
@@ -737,24 +738,19 @@ def positivity_time(state: Superposition, model: LindbladModel,
     t_husimi = husimi_time(model)  # rejects a dissipative model
     require_normalized(state)
     h = state.hbar
-    if math.isfinite(t_husimi) and (t_max is None or t_max >= t_husimi):
+    if math.isfinite(t_husimi):
         found = _husimi_certificate(state, model, t_husimi)
         if found is not None:
             x, w, e_max = found
             logger.debug("positivity_time: certificate t_H = %r, x* = (%r, %r), "
-                         "W / sum |term| = %.3e, largest exponent %.4g", t_husimi, x[0], x[1],
-                         w, e_max)
+                         "W / sum |term| = %.3e, largest exponent %.4g", t_husimi,
+                         float(x[0]), float(x[1]), w, e_max)
             return t_husimi
-
-    grow = 0
-    if t_max is not None and t_max < t_husimi:
-        hi = float(t_max)
-    elif math.isfinite(t_husimi):
         hi = t_husimi
     else:
-        hi, grow = _interference_damping_time(state, model), 8
+        hi = _interference_damping_time(state, model)
 
-    window = _auto_wigner_box(state, decoherence_matrix(model, hi, hbar=h))
+    window = _auto_wigner_box(state, decoherence_matrix(model, hi).m)
     centers = state.centers
     dmax = float(np.max(np.hypot(*(centers[:, None] - centers[None, :]).T)))
     step = 2.0 * math.pi * h / max(dmax, math.sqrt(h)) / 8.0
@@ -773,10 +769,11 @@ def positivity_time(state: Superposition, model: LindbladModel,
 
     t_p = 0.0
     if not positive(0.0):
-        if hi < t_husimi:
+        if math.isinf(t_husimi):
+            grow = 8
             while not positive(hi):
                 if grow == 0:
-                    raise NeverPositive(f"Wigner function still negative at t_max = {hi}")
+                    raise NeverPositive(f"Wigner function still negative at t = {hi}")
                 hi *= 1.6
                 grow -= 1
         t_p = _bisect_earliest(positive, 0.0, hi, _POSITIVITY_PRECISION)
@@ -800,11 +797,11 @@ def _triangle_area(state: Superposition) -> float:
 
 
 def triplet_timescales(state: Superposition, model: LindbladModel, series: LineScanSeries,
-                       spot, epsilon: float, t_max: float | None) -> LiftingRatioResult:
+                       spot, epsilon: float) -> LiftingRatioResult:
     """tau_l of series at spot, t_p = positivity_time and tau_l A / (hbar t_p),
     with A the area of the triplet's center triangle."""
     lift = lifting_time(series, spot, epsilon)
-    t_p = positivity_time(state, model, t_max=t_max)
+    t_p = positivity_time(state, model)
     area = _triangle_area(state)
     return LiftingRatioResult(lift.tau_l, t_p, lift.tau_l * area / (state.hbar * t_p), area,
                               lift.spot)
@@ -824,8 +821,6 @@ def lifting_ratio(state: Superposition, model: LindbladModel, *,
     positivity_time: the earliest t with W_t >= 0, bracketed by the Husimi
     bound when the model has one.
     """
-    from .spots import DiffractionModel, hexagonal_lattice, newton_refine
-
     if len(state) != 3:
         raise ValidationError("lifting_ratio expects a three-state superposition")
     if _triangle_area(state) <= 0:
@@ -838,7 +833,7 @@ def lifting_ratio(state: Superposition, model: LindbladModel, *,
     epsilon = 1e-3
 
     if times is None:
-        sigma1 = smoothing_covariance(decoherence_matrix(model, 1.0, hbar=state.hbar))
+        sigma1 = smoothing_covariance(decoherence_matrix(model, 1.0).m, state.hbar)
         direction = line[1] / np.hypot(*line[1])  # as scan_line normalises it
         sig_line = float(direction @ sigma1 @ direction)
         k = 2.0 * math.pi / float(spacing)
@@ -846,4 +841,4 @@ def lifting_ratio(state: Superposition, model: LindbladModel, *,
         times = np.concatenate([[0.0], np.geomspace(0.03 * t_star, 5.0 * t_star, 15)])
 
     series = scan_line(state, model, line, (-2.6 * spacing, 2.6 * spacing), n_samples, times)
-    return triplet_timescales(state, model, series, spot, epsilon, None)
+    return triplet_timescales(state, model, series, spot, epsilon)

@@ -203,13 +203,6 @@ def wigner_from_chord_grid(grid: FieldGrid, hbar: float) -> FieldGrid:
     return FieldGrid(grid.window, grid.shape, out.values / (2.0 * np.pi * hbar), "wigner")
 
 
-def mixture_chord_squared_grid(ens: MixedEnsemble, window: Window,
-                               shape: Tuple[int, int]) -> FieldGrid:
-    ap, aq = grid_axes(window, shape)
-    vals = np.abs(chord_mixture_values(ens, ap[:, None], aq[None, :])) ** 2
-    return FieldGrid(window, shape, vals, "correlation")
-
-
 def correlation_mixture(ens: MixedEnsemble, window: Window,
                         shape: Tuple[int, int]) -> FieldGrid:
     """Mixed-state correlation C = F[|chi_mix|^2] on the given grid.
@@ -217,7 +210,9 @@ def correlation_mixture(ens: MixedEnsemble, window: Window,
     Unlike the pure case this is NOT |chi_mix|^2 itself; the transform washes
     out the pure state's blind spots.
     """
-    sq = mixture_chord_squared_grid(ens, window, shape)
+    ap, aq = grid_axes(window, shape)
+    sq = FieldGrid(window, shape, np.abs(chord_mixture_values(ens, ap[:, None], aq[None, :])) ** 2,
+                   "correlation")
     require_adequate(sq.values)
     return fourier_2d(sq, ens.hbar, kind="correlation")
 

@@ -50,16 +50,16 @@ def skew_solver(a: np.ndarray, b: np.ndarray, degenerate: Exception):
     return solve
 
 
-def check_symplectic(s, tol: float = SYMPLECTIC_DET_TOL) -> np.ndarray:
-    """Validate a 2x2 real matrix with unit determinant, within tol or within
-    8 eps |m|^2 (squared Frobenius norm) when that is larger: the entries of a
-    product of large symplectic maps carry round-off of order eps |m|, and so
-    its determinant carries eps |m|^2."""
+def check_symplectic(s) -> np.ndarray:
+    """Validate a 2x2 real matrix with unit determinant, within
+    SYMPLECTIC_DET_TOL or within 8 eps |m|^2 (squared Frobenius norm) when
+    that is larger: the entries of a product of large symplectic maps carry
+    round-off of order eps |m|, and so its determinant carries eps |m|^2."""
     m = np.asarray(s, dtype=float)
     if m.shape != (2, 2) or not np.all(np.isfinite(m)):
         raise NotSymplectic(f"frame must be a finite 2x2 matrix, got {s!r}")
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    tol = max(tol, 8.0 * np.finfo(float).eps * float(np.sum(m * m)))
+    tol = max(SYMPLECTIC_DET_TOL, 8.0 * np.finfo(float).eps * float(np.sum(m * m)))
     if abs(det - 1.0) > tol:
         raise NotSymplectic(f"determinant {det} differs from 1 by more than {tol}")
     return m

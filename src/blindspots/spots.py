@@ -193,8 +193,7 @@ def hexagonal_lattice(model: DiffractionModel,
                             model.hbar)
 
 
-def newton_refine(state: Superposition, seed, tol: float = 1e-12,
-                  max_iter: int = 50) -> RefinedSpot:
+def newton_refine(state: Superposition, seed) -> RefinedSpot:
     """Blind spot near seed: newton_zero on the state's chord pair terms.
 
     Iterates more than 5 sqrt(hbar) from the seed have escaped down the
@@ -202,24 +201,26 @@ def newton_refine(state: Superposition, seed, tol: float = 1e-12,
     far from the origin, which must count as no convergence, not as a zero.
     """
     require_normalized(state)
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
-    return newton_zero(state.chord_terms, as_phase_vector(seed, "seed"), tol, max_iter,
+    return newton_zero(state.chord_terms, as_phase_vector(seed, "seed"),
                        5.0 * math.sqrt(state.hbar))
 
 
-def newton_zero(terms, seed: np.ndarray, tol: float, max_iter: int,
-                max_travel: float) -> RefinedSpot:
+NEWTON_TOL = 1e-12   # |f| at a zero: the Newton residual contract
+_NEWTON_MAX_ITER = 50
+
+
+def newton_zero(terms, seed: np.ndarray, max_travel: float) -> RefinedSpot:
     """Zero of the Gaussian sum f = gaussian_sum(terms, x) near seed: damped 2-D
     Newton iteration on (Re f, Im f) with analytic Jacobian, stopping at
-    |f| <= tol.  Raises NoConvergence when the iterates stall or travel more
-    than max_travel from the seed, SingularJacobian when the gradient vanishes.
+    |f| <= NEWTON_TOL within _NEWTON_MAX_ITER iterations.  Raises NoConvergence
+    when the iterates stall or travel more than max_travel from the seed,
+    SingularJacobian when the gradient vanishes.
     """
     x = seed.copy()
     f = complex(gaussian_sum(terms, x[0], x[1]))
 
-    for it in range(1, max_iter + 1):
-        if abs(f) <= tol:
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        if abs(f) <= NEWTON_TOL:
             return RefinedSpot(x, abs(f), it - 1, seed)
         grad = gaussian_gradient(terms, x)
         jac = np.array([[grad[0].real, grad[1].real],
@@ -246,17 +247,16 @@ def newton_zero(terms, seed: np.ndarray, tol: float, max_iter: int,
         if np.hypot(*(x - seed)) > max_travel:
             raise NoConvergence(f"iterates escaped {max_travel} away from seed {seed}")
 
-    if abs(f) <= tol:
-        return RefinedSpot(x, abs(f), max_iter, seed)
-    raise NoConvergence(f"|f| = {abs(f):.3e} after {max_iter} iterations from seed {seed}")
+    if abs(f) <= NEWTON_TOL:
+        return RefinedSpot(x, abs(f), _NEWTON_MAX_ITER, seed)
+    raise NoConvergence(f"|f| = {abs(f):.3e} after {_NEWTON_MAX_ITER} iterations from seed {seed}")
 
 
 _SEED_THRESHOLD = 1e-2  # largest estimated basin floor of |chi|^2 that seeds Newton
 
 
-def find_spots_generic(state: Superposition, window, grid_step: float,
-                       tol: float = 1e-12, max_iter: int = 50) -> List[RefinedSpot]:
-    """Scan |chi|^2 for local minima, Newton-refine, deduplicate.
+def find_spots_generic(state: Superposition, window, grid_step: float) -> List[RefinedSpot]:
+    """Scan |chi|^2 for local minima, Newton-refine to |chi| <= NEWTON_TOL, deduplicate.
 
     A seed is an interior grid point that is the smallest of its 3x3 patch
     and whose parabolic estimate of the basin floor (per axis, where the
@@ -292,7 +292,7 @@ def find_spots_generic(state: Superposition, window, grid_step: float,
     candidates = []
     for i, j in zip(*np.nonzero(seeded)):
         try:
-            spot = newton_refine(state, (ap[i + 1], aq[j + 1]), tol=tol, max_iter=max_iter)
+            spot = newton_refine(state, (ap[i + 1], aq[j + 1]))
         except (NoConvergence, SingularJacobian):
             continue
         if plo <= spot.xi[0] <= phi and qlo <= spot.xi[1] <= qhi:

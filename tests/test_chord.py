@@ -10,12 +10,14 @@ from blindspots import (
     MixedEnsemble,
     NotNormalized,
     Superposition,
+    ValidationError,
     chord_exact,
     chord_mixture,
     chord_quadrature,
     chord_values,
     correlation_pure,
     normalize,
+    overlap,
     shift_origin,
     skew,
     wigner_exact,
@@ -47,6 +49,13 @@ def test_chord_requires_normalized_state():
     st = Superposition.from_centers(HBAR, [2.0], [(0, 0)])
     with pytest.raises(NotNormalized):
         chord_exact(st, (0.1, 0.1))
+
+
+def test_overlap_rejects_states_at_different_hbar(compact_triplet):
+    other = normalize(Superposition.from_centers(2 * HBAR, [1.0], [(0, 0)]))
+    assert overlap(compact_triplet, compact_triplet) == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(ValidationError, match="different hbar"):
+        overlap(compact_triplet, other)
 
 
 def test_chord_compact_triplet_matches_quadrature(compact_triplet):

@@ -301,8 +301,8 @@ def valid_config(subcommand):
     ("decohere", "s_range", [0.0, float("inf")]),  # written as Infinity
     # integer keys reject fractions and booleans instead of truncating them
     ("spots", "k_range", [[-0.9, 0.9], [0.5, 0.99]]),
-    ("spots", "max_iter", 2.5),
-    ("spots", "max_iter", True),
+    ("spots", "k_range", [[-1, True], [-1, 1]]),
+    ("check", "seed", True),
     ("grid", "shape", [11.5, 11]),
     ("grid", "shape", [True, 11]),
     ("check", "shape", [201, 200.5]),
@@ -428,6 +428,22 @@ def test_removed_positivity_tol_key_exits_2(tmp_path, capsys):
     cfg["decohere"]["positivity_tol"] = 0.0
     assert main(["decohere", write_config(tmp_path, "old.json", cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: unknown keys ['positivity_tol'] in decohere")
+
+
+@pytest.mark.parametrize("subcommand, key, value", [
+    ("spots", "tol", 1e-12),
+    ("spots", "max_iter", 50),
+    ("decohere", "t_max", 0.3),
+])
+def test_removed_keys_exit_2(tmp_path, capsys, subcommand, key, value):
+    # the Newton residual, its iteration cap and the positivity bracket are fixed
+    cfg = valid_config(subcommand)
+    cfg[subcommand][key] = value
+    assert main([subcommand, write_config(tmp_path, "old.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown keys ['{key}'] in {subcommand}")
+    assert "Traceback" not in captured.err
 
 
 def test_invert_zero_spot_is_degenerate(tmp_path):

@@ -285,7 +285,7 @@ def test_find_spots_keeps_earliest_seed_of_a_duplicate(monkeypatch, compact_trip
     # the kept duplicate is the one from the first seed in grid order
     calls = []
 
-    def refine(state, seed, tol, max_iter):
+    def refine(state, seed):
         calls.append(np.asarray(seed, dtype=float))
         return RefinedSpot(np.array([0.01, 0.02]), 1e-16 / len(calls), len(calls), calls[-1])
 
@@ -328,7 +328,7 @@ def test_find_spots_seeds_match_cellwise_reference(monkeypatch, compact_triplet,
     window = ((-0.4, 0.35), (-0.35, 0.4))
     seeds = []
 
-    def refine(state, seed, tol, max_iter):
+    def refine(state, seed):
         seeds.append(seed)
         raise NoConvergence("recorded")
 
