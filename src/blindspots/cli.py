@@ -360,7 +360,9 @@ def cmd_decohere(cfg: dict, out: IO[str]) -> int:
     lines.append(f"# line_point = {_fmt(point[0])} {_fmt(point[1])}")
     lines.append(f"# line_direction = {_fmt(direction[0])} {_fmt(direction[1])}")
 
-    if block["summary"] and len(state) == 3 and len(times) > 1 and times[0] == 0.0:
+    if block["summary"] and not (len(state) == 3 and len(times) > 1 and times[0] == 0.0):
+        lines.append("# summary = skipped: needs three states and at least two times from t = 0")
+    elif block["summary"]:
         spot = block["spot"]
         if spot is None:
             spot = _auto_line_spot(state, point, direction)

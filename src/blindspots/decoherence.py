@@ -50,25 +50,20 @@ from .errors import (
     NegativeTime,
     NeverLifted,
     NeverPositive,
-    NoConvergence,
     NoMinimum,
-    NotSymplectic,
     NumericalError,
-    SingularJacobian,
     ValidationError,
 )
 from .chord import (
     fourier_terms,
     gaussian_gradient,
     gaussian_sum,
-    pair_arrays,
-    point_exponents,
     require_normalized,
 )
 from .fields import MAX_GRID_CELLS, FieldGrid, fourier_2d, grid_axes, require_adequate
 from .geometry import J, as_phase_vector, skew
-from .spots import DiffractionModel, hexagonal_lattice, newton_refine, newton_zero
-from .states import GaussianState, Superposition, apply_symplectic
+from .spots import DiffractionModel, hexagonal_lattice, newton_refine
+from .states import Superposition
 
 ALPHA_TOL = 1e-12
 
@@ -276,7 +271,7 @@ def _damped_terms(state: Superposition, model: LindbladModel, t: float):
     overflows, as under a hyperbolic flow at large t."""
     m = decoherence_matrix(model, t).m
     require_normalized(state)
-    r_back = _propagator(model.generator, -t)
+    r_back = _propagator(-model.generator, t)
     mu, c0, b, c = state.chord_terms
     with np.errstate(over="ignore", invalid="ignore"):
         b, c = b @ r_back, r_back.T @ c @ r_back
@@ -548,7 +543,7 @@ def lifting_time(series: LineScanSeries, spot, epsilon: float = 1e-3) -> Lifting
 HUSIMI_DET = 1.0 / 16.0
 _HUSIMI_DOUBLINGS = 16
 _HUSIMI_PRECISION = 1e-12
-_POSITIVITY_PRECISION = 1e-3  # relative precision of positivity_time
+_POSITIVITY_PRECISION = 1e-3  # relative precision of positivity_time's grid bisection
 
 
 def _bisect_earliest(holds, lo: float, hi: float, rel_precision: float) -> float:
@@ -642,114 +637,48 @@ def _interference_damping_time(state: Superposition, model: LindbladModel) -> fl
     return -2.0 * math.log(np.finfo(float).eps) / min(positive)
 
 
-# Certified only if W < -margin * sum_k |term_k| (1 + |E_k|): far above the
-# round-off eps |E_k| of each term, far below the negativity that a step of
-# 1e-3 back from t_H leaves at a Husimi zero (4e-6 of that sum or more on
-# triplets, cats and a 6-term state, with and without H).  Both sides are
-# taken with the largest Re E_k factored out, so neither underflows.
-_CERTIFICATE_MARGIN = 1e-9
+_SAME_GAUSSIAN = 1e-12  # round-off allowed: centres in units of sqrt(hbar), widths relatively
 
 
-def _husimi_probe(m: np.ndarray) -> GaussianState:
-    """The centred Gaussian state whose chord function is exp(-xi . M xi / hbar),
-    for det 4M = 1 (rescaled to it against round-off): its frame F has
-    F F^T = P = (4M)^{-1}, and F = (P + I) / sqrt(tr P + 2) is the symmetric
-    square root of a unit-determinant P."""
-    g = 4.0 * m / math.sqrt(np.linalg.det(4.0 * m))
-    p = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
-    return GaussianState(np.zeros(2), (p + np.eye(2)) / math.sqrt(np.trace(p) + 2.0))
-
-
-def _pair_zero_seeds(terms):
-    """Zeros of each two-term sum mu_i e^{E_i} + mu_j e^{E_j} with the quadratic
-    parts of the exponents dropped: Delta c0 + Delta b . x = log(-mu_j / mu_i)
-    + 2 pi i k, one real 2x2 system per pair and winding k = 0, -1, 1, k-major."""
-    mu, c0, b, _ = terms
-    i, j = np.triu_indices(len(mu), 1)
-    db = b[i] - b[j]
-    a = np.stack([db.real, db.imag], axis=1)
-    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    regular = np.abs(det) > 1e-12 * np.max(np.abs(a), axis=(1, 2)) ** 2
-    a = a[regular]
-    rhs = (np.log(-mu[j] / mu[i]) - (c0[i] - c0[j]))[regular]
-    seeds = []
-    for k in (0, -1, 1):
-        r = rhs + 2j * math.pi * k
-        seeds.extend(np.linalg.solve(a, np.stack([r.real, r.imag], axis=1)[:, :, None])[:, :, 0])
-    return seeds
-
-
-def _husimi_certificate(state: Superposition, model: LindbladModel, t_husimi: float):
-    """(x*, W / sum_k |term_k|, largest Re E_k) with W_t(x*) < 0 at
-    t = (1 - 1e-3) t_H, or None.
-
-    chi_t = chi_Q exp(+xi . (M_{t_H} - M_t) xi / hbar), where M_{t_H} - M_t is
-    positive semidefinite and chi_Q is the chord function of Q, the Husimi
-    function of the unitarily moved state R_t psi for the probe Gaussian of
-    chord matrix -M_{t_H} / hbar.  Q(x) is proportional to |f(x)|^2 with
-    f(x) = <probe| T_{-x} |R_t psi>, a sum of N Gaussians.  At a zero x* of f,
-    Q has its minimum 0, and the sharpening makes W_t(x*) negative.  Seeds are
-    the two-term zeros of f, refined by newton_zero; the first whose W_t(x*)
-    is negative by more than round-off is returned.
-    """
-    h = state.hbar
-    t = (1.0 - _POSITIVITY_PRECISION) * t_husimi
-    try:
-        probe = _husimi_probe(decoherence_matrix(model, t_husimi).m)
-        moved = apply_symplectic(state, _propagator(model.generator, t))
-    except NotSymplectic:
-        return None
-    mu, c0, b, c = amplitude = pair_arrays(((1.0, probe),), moved.terms, h)
-    w_terms = fourier_terms(_damped_terms(state, model, t), h)
-    for seed in _pair_zero_seeds(amplitude):
-        # the largest term is 1 at the seed, so that NEWTON_TOL is relative
-        top = point_exponents(amplitude, seed)[0].real.max()
-        try:
-            x = newton_zero((mu, c0 - top, b, c), seed, 5.0 * math.sqrt(h)).xi
-        except (NoConvergence, SingularJacobian):
-            continue
-        exponents, _ = point_exponents(w_terms, x)
-        e_max = float(exponents.real.max())
-        values = w_terms[0] * np.exp(exponents - e_max)
-        w = float(values.sum().real)
-        if w < -_CERTIFICATE_MARGIN * float(np.abs(values) @ (1.0 + np.abs(exponents))):
-            return x, w / float(np.abs(values).sum()), e_max
-    return None
+def _is_gaussian(state: Superposition) -> bool:
+    """Whether all terms of nonzero amplitude share one centre and one width."""
+    kept = [g for a, g in state.terms if a != 0]
+    centers = np.array([g.center for g in kept])
+    widths = np.array([g.width for g in kept])
+    return bool(np.all(np.abs(centers - centers[0]) <= _SAME_GAUSSIAN * math.sqrt(state.hbar))
+                and np.all(np.abs(widths - widths[0]) <= _SAME_GAUSSIAN * abs(widths[0])))
 
 
 def positivity_time(state: Superposition, model: LindbladModel) -> float:
-    """Earliest t with W_t >= 0, to 1e-3 relative.
+    """Earliest t with W_t >= 0: 0 for a Gaussian state, else t_H = husimi_time(model)
+    if finite, else bisected on Wigner grids to 1e-3 relative.
 
-    The upper bracket is the Husimi bound t_H = husimi_time(model): from
-    there on W_t >= 0 is a theorem, and every non-Gaussian pure state has
-    t_p = t_H, since W_{t_H} is a Husimi function and those have zeros.  So
-    when t_H is finite, t_H is returned as soon as one point x* shows
-    W_t(x*) < 0 at t = (1 - 1e-3) t_H (_husimi_certificate), without a grid.
-    Otherwise, or when no point is certified, the sign of min W_t on a grid
-    covering the state (steps of 1/8 of the shortest fringe period, minima
-    refined parabolically) is bisected in t; the bracket end t_H is not
-    evaluated (W_t has exact zeros there, which round-off can turn negative).
-    Without a Husimi bound the bracket starts at the time every interference
-    term is damped below round-off and grows up to 8 times by a factor 1.6
-    before NeverPositive is raised.  A grid of more than MAX_GRID_CELLS cells
-    raises NumericalError before it is evaluated.  One DEBUG record on the
-    "blindspots" logger says which path ran.
+    W_t >= 0 from t_H on and W_t only smooths as t grows, so t_p <= t_H.  W_{t_H}
+    is a Husimi function, which has zeros unless the state is Gaussian (Hudson,
+    Rep. Math. Phys. 6, 249 (1974)), and just before t_H the sharper kernel
+    makes each zero a negative dip (Diosi & Kiefer, J. Phys. A 35, 2675 (2002)):
+    t_p = t_H for every other pure state, and nothing is evaluated.  Gaussian
+    means one centre and one width to 1e-12 (_is_gaussian).
+
+    Without a Husimi bound the sign of min W_t on a grid covering the state
+    (steps of 1/8 of the shortest fringe period, minima refined parabolically)
+    is bisected in t.  The bracket starts at the time every interference term
+    is damped below round-off and grows up to 8 times by a factor 1.6 before
+    NeverPositive is raised.  A grid of more than MAX_GRID_CELLS cells raises
+    NumericalError before it is evaluated.  One DEBUG record on the
+    "blindspots" logger names the path: gaussian, theorem or grid.
     """
     t_husimi = husimi_time(model)  # rejects a dissipative model
     require_normalized(state)
-    h = state.hbar
+    if _is_gaussian(state):
+        logger.debug("positivity_time: gaussian, t_H = %r", t_husimi)
+        return 0.0
     if math.isfinite(t_husimi):
-        found = _husimi_certificate(state, model, t_husimi)
-        if found is not None:
-            x, w, e_max = found
-            logger.debug("positivity_time: certificate t_H = %r, x* = (%r, %r), "
-                         "W / sum |term| = %.3e, largest exponent %.4g", t_husimi,
-                         float(x[0]), float(x[1]), w, e_max)
-            return t_husimi
-        hi = t_husimi
-    else:
-        hi = _interference_damping_time(state, model)
+        logger.debug("positivity_time: theorem, t_H = %r", t_husimi)
+        return t_husimi
 
+    h = state.hbar
+    hi = _interference_damping_time(state, model)
     window = _auto_wigner_box(state, decoherence_matrix(model, hi).m)
     centers = state.centers
     dmax = float(np.max(np.hypot(*(centers[:, None] - centers[None, :]).T)))
@@ -769,16 +698,15 @@ def positivity_time(state: Superposition, model: LindbladModel) -> float:
 
     t_p = 0.0
     if not positive(0.0):
-        if math.isinf(t_husimi):
-            grow = 8
-            while not positive(hi):
-                if grow == 0:
-                    raise NeverPositive(f"Wigner function still negative at t = {hi}")
-                hi *= 1.6
-                grow -= 1
+        grow = 8
+        while not positive(hi):
+            if grow == 0:
+                raise NeverPositive(f"Wigner function still negative at t = {hi}")
+            hi *= 1.6
+            grow -= 1
         t_p = _bisect_earliest(positive, 0.0, hi, _POSITIVITY_PRECISION)
-    logger.debug("positivity_time: grid window = %s, shape = %s, %d evaluations",
-                 window, shape, evaluations)
+    logger.debug("positivity_time: grid, t_H = %r, window = %s, shape = %s, %d evaluations",
+                 t_husimi, window, shape, evaluations)
     return t_p
 
 
@@ -818,8 +746,7 @@ def lifting_ratio(state: Superposition, model: LindbladModel, *,
     +-2.6 |spot|, and tau_l is taken at contrast ratio epsilon = 1e-3.  The
     default times are 0 and 15 log-spaced times from 0.03 to 5 t*, where t*
     smooths the fringe of the spot's spacing down to epsilon.  t_p is
-    positivity_time: the earliest t with W_t >= 0, bracketed by the Husimi
-    bound when the model has one.
+    positivity_time: the earliest t with W_t >= 0, t_H when that is finite.
     """
     if len(state) != 3:
         raise ValidationError("lifting_ratio expects a three-state superposition")

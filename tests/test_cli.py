@@ -244,6 +244,30 @@ def test_missing_config_file():
     assert main(["grid", "/nonexistent/cfg.json"]) == 2
 
 
+SUMMARY_SKIPPED = "# summary = skipped: needs three states and at least two times from t = 0"
+
+
+@pytest.mark.parametrize("centers, times", [
+    (COMPACT_CENTERS[:2], [0.0, 0.01]),
+    (COMPACT_CENTERS, [0.0]),
+    (COMPACT_CENTERS, [0.01, 0.02]),
+], ids=["two states", "one time", "first time not 0"])
+def test_decohere_summary_skip_is_written(tmp_path, centers, times):
+    cfg = base_config(centers)
+    cfg["lindblad"] = {"couplings": [{"re": [1.0, 0.0]}, {"re": [0.0, 1.0]}]}
+    cfg["decohere"] = {"line": {"point": [0.0, 0.0], "direction": [1.0, 0.0]},
+                       "s_range": [-0.3, 0.3], "n_samples": 11, "times": times}
+    out = tmp_path / "d.csv"
+    assert main(["decohere", write_config(tmp_path, "d.json", cfg), "--out", str(out)]) == 0
+    meta, _, rows = read_csv(out)
+    assert meta[-1] == SUMMARY_SKIPPED
+    assert not any(m.startswith("# tau_l") for m in meta)
+    assert len(rows) == 11 * len(times)
+    cfg["decohere"]["summary"] = False
+    assert main(["decohere", write_config(tmp_path, "d.json", cfg), "--out", str(out)]) == 0
+    assert SUMMARY_SKIPPED not in read_csv(out)[0]
+
+
 def valid_config(subcommand):
     cfg = base_config()
     if subcommand == "grid":

@@ -1,5 +1,6 @@
 import functools
 import logging
+import math
 from collections import Counter
 
 import numpy as np
@@ -12,8 +13,11 @@ from blindspots import (
     NegativeTime,
     NeverLifted,
     NeverPositive,
+    NoConvergence,
     NoMinimum,
+    NotSymplectic,
     NumericalError,
+    SingularJacobian,
     Superposition,
     ValidationError,
     chord_exact,
@@ -32,12 +36,20 @@ from blindspots import (
     wigner_evolved_values,
     wigner_exact,
 )
-from blindspots import chord, decoherence
-from blindspots.chord import chord_values, pair_arrays, wavefunction, wigner_values
+from blindspots import chord, decoherence, spots
+from blindspots.chord import (
+    chord_values,
+    fourier_terms,
+    pair_arrays,
+    point_exponents,
+    wavefunction,
+    wigner_values,
+)
 from blindspots.decoherence import evolved_chord_gradient, smoothing_covariance
 from blindspots.fields import grid_axes
 from blindspots.geometry import J
-from blindspots.spots import DiffractionModel, hexagonal_lattice, newton_refine
+from blindspots.spots import DiffractionModel, hexagonal_lattice, newton_refine, newton_zero
+from blindspots.states import apply_symplectic
 from conftest import COMPACT_CENTERS, HBAR, corner_triplet_state, triplet
 
 
@@ -731,6 +743,90 @@ def positivity_records(caplog):
     return [r for r in caplog.records if r.getMessage().startswith("positivity_time:")]
 
 
+# -- the Husimi certificate, an oracle for t_p = t_H ---------------------------
+
+# Certified only if W < -margin * sum_k |term_k| (1 + |E_k|): far above the
+# round-off eps |E_k| of each term, far below the negativity that a step of
+# 1e-3 back from t_H leaves at a Husimi zero (4e-6 of that sum or more on
+# triplets, cats and a 6-term state, with and without H).  Both sides are
+# taken with the largest Re E_k factored out, so neither underflows.
+CERTIFICATE_MARGIN = 1e-9
+
+
+def husimi_probe(m: np.ndarray) -> GaussianState:
+    """The centred Gaussian state whose chord function is exp(-xi . M xi / hbar),
+    for det 4M = 1 (rescaled to it against round-off): its frame F has
+    F F^T = P = (4M)^{-1}, and F = (P + I) / sqrt(tr P + 2) is the symmetric
+    square root of a unit-determinant P."""
+    g = 4.0 * m / math.sqrt(np.linalg.det(4.0 * m))
+    p = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    return GaussianState(np.zeros(2), (p + np.eye(2)) / math.sqrt(np.trace(p) + 2.0))
+
+
+def pair_zero_seeds(terms):
+    """Zeros of each two-term sum mu_i e^{E_i} + mu_j e^{E_j} with the quadratic
+    parts of the exponents dropped: Delta c0 + Delta b . x = log(-mu_j / mu_i)
+    + 2 pi i k, one real 2x2 system per pair and winding k = 0, -1, 1, k-major."""
+    mu, c0, b, _ = terms
+    i, j = np.triu_indices(len(mu), 1)
+    db = b[i] - b[j]
+    a = np.stack([db.real, db.imag], axis=1)
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    regular = np.abs(det) > 1e-12 * np.max(np.abs(a), axis=(1, 2)) ** 2
+    a = a[regular]
+    rhs = (np.log(-mu[j] / mu[i]) - (c0[i] - c0[j]))[regular]
+    seeds = []
+    for k in (0, -1, 1):
+        r = rhs + 2j * math.pi * k
+        seeds.extend(np.linalg.solve(a, np.stack([r.real, r.imag], axis=1)[:, :, None])[:, :, 0])
+    return seeds
+
+
+def husimi_certificate(state, model, t_husimi):
+    """(x*, W / sum_k |term_k|, largest Re E_k) with W_t(x*) < 0 at
+    t = (1 - 1e-3) t_H, or None.
+
+    chi_t = chi_Q exp(+xi . (M_{t_H} - M_t) xi / hbar), where M_{t_H} - M_t is
+    positive semidefinite and chi_Q is the chord function of Q, the Husimi
+    function of the unitarily moved state R_t psi for the probe Gaussian of
+    chord matrix -M_{t_H} / hbar.  Q(x) is proportional to |f(x)|^2 with
+    f(x) = <probe| T_{-x} |R_t psi>, a sum of N Gaussians.  At a zero x* of f,
+    Q has its minimum 0, and the sharpening makes W_t(x*) negative.  Seeds are
+    the two-term zeros of f, refined by newton_zero; the first whose W_t(x*)
+    is negative by more than round-off is returned.
+    """
+    h = state.hbar
+    t = (1.0 - decoherence._POSITIVITY_PRECISION) * t_husimi
+    try:
+        probe = husimi_probe(decoherence_matrix(model, t_husimi).m)
+        moved = apply_symplectic(state, decoherence._propagator(model.generator, t))
+    except NotSymplectic:
+        return None
+    mu, c0, b, c = amplitude = pair_arrays(((1.0, probe),), moved.terms, h)
+    w_terms = fourier_terms(decoherence._damped_terms(state, model, t), h)
+    for seed in pair_zero_seeds(amplitude):
+        # the largest term is 1 at the seed, so that NEWTON_TOL is relative
+        top = point_exponents(amplitude, seed)[0].real.max()
+        try:
+            x = newton_zero((mu, c0 - top, b, c), seed, 5.0 * math.sqrt(h)).xi
+        except (NoConvergence, SingularJacobian):
+            continue
+        exponents, _ = point_exponents(w_terms, x)
+        e_max = float(exponents.real.max())
+        values = w_terms[0] * np.exp(exponents - e_max)
+        w = float(values.sum().real)
+        if w < -CERTIFICATE_MARGIN * float(np.abs(values) @ (1.0 + np.abs(exponents))):
+            return x, w / float(np.abs(values).sum()), e_max
+    return None
+
+
+def assert_negative_near(state, model, x, t):
+    """W_t < 0 somewhere on a fine grid of +-0.05 around x."""
+    offsets = np.linspace(-0.05, 0.05, 101)
+    w = wigner_evolved_values(state, model, x[0] + offsets[:, None], x[1] + offsets[None, :], t)
+    assert w.real.min() < 0
+
+
 @pytest.mark.parametrize("model_name", CERTIFIED_MODELS)
 @pytest.mark.parametrize("state_name", CERTIFIED_STATES)
 def test_positivity_time_certified_at_husimi_time(caplog, wigner_grid_calls, state_name,
@@ -741,20 +837,18 @@ def test_positivity_time_certified_at_husimi_time(caplog, wigner_grid_calls, sta
     assert tp == husimi_time(model)
     assert not wigner_grid_calls
     (record,) = positivity_records(caplog)
-    assert "certificate" in record.getMessage()
+    assert record.getMessage().startswith("positivity_time: theorem, t_H = ")
     assert "np.float64" not in record.getMessage()
     # W just before t_p is negative near the certified point, on a fine grid
-    _, xp, xq, _, _ = record.args
-    offsets = np.linspace(-0.05, 0.05, 101)
-    w = wigner_evolved_values(state, model, xp + offsets[:, None], xq + offsets[None, :],
-                              tp * (1 - 2e-3))
-    assert w.real.min() < 0
+    x, w, _ = husimi_certificate(state, model, tp)
+    assert w < 0
+    assert_negative_near(state, model, x, tp * (1 - 2e-3))
 
 
 def test_husimi_probe_chord_matrix():
     model = CERTIFIED_MODELS["H=diag(1,2), q"]
     m = decoherence_matrix(model, husimi_time(model)).m
-    probe = decoherence._husimi_probe(m)
+    probe = husimi_probe(m)
     c = pair_arrays(((1.0, probe),), ((1.0, probe),), HBAR)[3][0]
     assert np.max(np.abs(c + m / HBAR)) <= 1e-9 * np.max(np.abs(m / HBAR))
 
@@ -770,17 +864,16 @@ def test_husimi_certificate_holds_beyond_frame_precision():
     model = hyperbolic_model(0.1)
     state = triplet(COMPACT_CENTERS)
     t_h = husimi_time(model)
-    x, w, _ = decoherence._husimi_certificate(state, model, t_h)
+    assert positivity_time(state, model) == t_h
+    x, w, _ = husimi_certificate(state, model, t_h)
     assert w < 0
-    offsets = np.linspace(-0.05, 0.05, 101)
-    w = wigner_evolved_values(state, model, x[0] + offsets[:, None], x[1] + offsets[None, :],
-                              t_h * (1 - 2e-3))
-    assert w.real.min() < 0
+    assert_negative_near(state, model, x, t_h * (1 - 2e-3))
     # weaker couplings reach t_H later: entries near 7e3 and 7e4, det off by
     # 3e-9 and 4e-7
     for strength in (0.03, 0.01):
         model = hyperbolic_model(strength)
-        assert decoherence._husimi_certificate(state, model, husimi_time(model))[1] < 0
+        assert positivity_time(state, model) == husimi_time(model)
+        assert husimi_certificate(state, model, husimi_time(model))[1] < 0
 
 
 @pytest.fixture
@@ -800,47 +893,99 @@ SMALL_HBAR_STATES = {
     "hbar 0.001, compact x 2": triplet(2.0 * np.array(COMPACT_CENTERS), hbar=0.001),
     "hbar 0.001, compact x 3.3": triplet(3.3 * np.array(COMPACT_CENTERS), hbar=0.001),
 }
+SMALL_HBAR_MODELS = {m: CERTIFIED_MODELS[m] for m in ("pq", "H=diag(1,1/4), p and q")}
 
 
-@pytest.mark.parametrize("model_name", ["pq", "H=diag(1,1/4), p and q"])
+@pytest.mark.parametrize("model_name", SMALL_HBAR_MODELS)
 @pytest.mark.parametrize("state_name", SMALL_HBAR_STATES)
 def test_positivity_time_certified_at_small_hbar(caplog, no_wigner_grid, state_name, model_name):
     state, model = SMALL_HBAR_STATES[state_name], CERTIFIED_MODELS[model_name]
     with caplog.at_level(logging.DEBUG, logger="blindspots"):
         assert positivity_time(state, model) == husimi_time(model)
     (record,) = positivity_records(caplog)
-    assert "certificate" in record.getMessage()
-    _, _, _, w, e_max = record.args
+    assert record.getMessage().startswith("positivity_time: theorem, t_H = ")
+    _, w, e_max = husimi_certificate(state, model, husimi_time(model))
     assert w < 0
     assert e_max < -1000
+
+
+CERTIFIED_PAIRS = {f"{s}-{m}": (states[s], models[m])
+                   for states, models in ((CERTIFIED_STATES, CERTIFIED_MODELS),
+                                          (SMALL_HBAR_STATES, SMALL_HBAR_MODELS))
+                   for s in states for m in models}
+
+
+@pytest.mark.parametrize("name", CERTIFIED_PAIRS)
+def test_positivity_time_theorem_evaluates_nothing(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("positivity_time evaluated a Gaussian sum")
+
+    for module, function in ((spots, "gaussian_sum"), (decoherence, "gaussian_sum"),
+                             (decoherence, "_wigner_minimum")):
+        monkeypatch.setattr(module, function, refuse)
+    state, model = CERTIFIED_PAIRS[name]
+    assert positivity_time(state, model) == husimi_time(model)
 
 
 ONE_COUPLING = LindbladModel(np.zeros((2, 2)), (np.array([1.0, 0.0]),))
 CAT_ALONG_P = normalize(Superposition.from_centers(HBAR, [1.0, 1.0], [(0, 0), (2.0, 0)]))
 CAT_ALONG_Q = normalize(Superposition.from_centers(HBAR, [1.0, 1.0], [(0, 0), (0, 2.0)]))
 COHERENT = normalize(Superposition.from_centers(HBAR, [1.0], [(0.3, -0.2)]))
+G = COHERENT.states[0]
+# the same state in a frame rotated by 0.7: its width is 1 - 2.1e-17j, not 1
+G_ROTATED = GaussianState(G.center, np.array([[math.cos(0.7), -math.sin(0.7)],
+                                              [math.sin(0.7), math.cos(0.7)]]))
 
-# (state, model, keyword arguments, t_p or the error raised)
+
+def superposition(*terms):
+    return normalize(Superposition(HBAR, terms))
+
+
+# (state, model)
+GAUSSIAN_CASES = {
+    "one coherent state": (COHERENT, CERTIFIED_MODELS["pq"]),
+    "two terms of one Gaussian": (superposition((1.0, G), (0.5, G)), CERTIFIED_MODELS["pq"]),
+    "zero-amplitude term": (superposition((1.0, G), (0.0, GaussianState((1.0, 0.5)))),
+                            CERTIFIED_MODELS["pq"]),
+    "rotated frame": (superposition((1.0, G), (1.0, G_ROTATED)), CERTIFIED_MODELS["pq"]),
+    "no Husimi bound": (COHERENT, ONE_COUPLING),
+}
+
+
+def test_rotated_frame_width_is_off_by_round_off():
+    assert G_ROTATED.width != G.width
+    assert abs(G_ROTATED.width - G.width) < 1e-15
+
+
+@pytest.mark.parametrize("name", GAUSSIAN_CASES)
+def test_positivity_time_gaussian_path(caplog, no_wigner_grid, name):
+    state, model = GAUSSIAN_CASES[name]
+    with caplog.at_level(logging.DEBUG, logger="blindspots"):
+        assert positivity_time(state, model) == 0.0
+    (record,) = positivity_records(caplog)
+    assert record.getMessage() == f"positivity_time: gaussian, t_H = {husimi_time(model)!r}"
+
+
+# (state, model, t_p or the error raised)
 GRID_FALLBACKS = {
-    "no Husimi bound": (CAT_ALONG_P, ONE_COUPLING, {}, 17.217909049367712),
-    "no Husimi bound, never positive": (CAT_ALONG_Q, ONE_COUPLING, {}, NeverPositive),
-    "single Gaussian": (COHERENT, CERTIFIED_MODELS["pq"], {}, 0.0),
+    "no Husimi bound": (CAT_ALONG_P, ONE_COUPLING, 17.217909049367712),
+    "no Husimi bound, never positive": (CAT_ALONG_Q, ONE_COUPLING, NeverPositive),
 }
 
 
 @pytest.mark.parametrize("name", GRID_FALLBACKS)
 def test_positivity_time_grid_fallbacks(caplog, wigner_grid_calls, name):
-    state, model, kwargs, expected = GRID_FALLBACKS[name]
+    state, model, expected = GRID_FALLBACKS[name]
     with caplog.at_level(logging.DEBUG, logger="blindspots"):
         if expected is NeverPositive:
             with pytest.raises(NeverPositive):
-                positivity_time(state, model, **kwargs)
+                positivity_time(state, model)
             assert not positivity_records(caplog)
         else:
-            assert positivity_time(state, model, **kwargs) == expected
+            assert positivity_time(state, model) == expected
             (record,) = positivity_records(caplog)
-            assert "grid" in record.getMessage()
-            assert record.args[2] == len(wigner_grid_calls)
+            assert record.getMessage().startswith("positivity_time: grid, t_H = inf, window = ")
+            assert record.args[3] == len(wigner_grid_calls)
     assert wigner_grid_calls
 
 
@@ -858,8 +1003,10 @@ def test_flow_overflow_is_typed(compact_triplet):
     # in R_t itself at t = 800
     model = LindbladModel(np.array([[0.0, 0.5], [0.5, 0.0]]), (np.array([0.0, 1.0]),))
     for t in (600.0, 700.0, 800.0):
-        with pytest.raises(NumericalError, match="R_t overflows"):
+        with pytest.raises(NumericalError, match="R_t overflows") as excinfo:
             correlation_evolved_points(compact_triplet, model, np.zeros((1, 2)), t)
+        assert str(excinfo.value).endswith(f"at t = {t}")
+        assert f"-{t}" not in str(excinfo.value)
 
 
 def test_wigner_minimum_monotone(corner_triplet, pq_model):
